@@ -147,6 +147,8 @@ def cmd_verify(args) -> int:
         lines = [f"{name:<{width}}  {DESCRIPTIONS[name]}" for name in SUITES]
         _emit(args, "\n".join(lines))
         return 0
+    if args.samples is not None and args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
     names = list(args.suite)
     if args.all or not names:
         names = list(SUITES)

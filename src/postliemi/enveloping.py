@@ -19,6 +19,11 @@ multiset splittings with binomial multiplicities, which is simultaneously
 the coproduct of the symmetric algebra and, through the sorted-word basis,
 of the enveloping algebra.
 
+Elements keep their terms in one canonical order.  A sum of many scaled
+pieces, as in the products below, is merged once and sorted once
+(``from_terms``, ``SymElement.sum_of``), never folded with ``+``, which
+would re-merge and re-sort the running total at every step.
+
 Duality: ``pairing`` satisfies <w, w> = prod m_i! on a word with letter
 multiplicities m_i, zero on distinct words; ``tmap`` multiplies each word by
 that symmetry factor.  ``dual_coproduct`` computes the coproduct dual to
@@ -92,16 +97,21 @@ def _word_rank(w: SymWord):
     return (len(w), tuple(structural_rank(x) for x in w))
 
 
-def _norm_sym_terms(pairs) -> tuple:
+def _merge(pairs) -> list:
+    """Sum coefficients per key as Fractions; the nonzero (key, c) pairs."""
     acc: dict = {}
-    for w, c in pairs:
-        c = Fraction(c)
-        if c == 0:
-            continue
-        acc[w] = acc.get(w, Fraction(0)) + c
-        if acc[w] == 0:
-            del acc[w]
-    return tuple(sorted(acc.items(), key=lambda wc: _word_rank(wc[0])))
+    for key, c in pairs:
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
+        old = acc.get(key)
+        acc[key] = c if old is None else old + c
+    return [kc for kc in acc.items() if kc[1]]
+
+
+def _norm_sym_terms(pairs) -> tuple:
+    merged = _merge(pairs)
+    merged.sort(key=lambda wc: _word_rank(wc[0]))
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,11 @@ class SymElement:
     @staticmethod
     def from_terms(pairs) -> "SymElement":
         return SymElement(_norm_sym_terms(pairs))
+
+    @staticmethod
+    def sum_of(parts) -> "SymElement":
+        """The sum of c * x over (x, c) pairs, merged once."""
+        return SymElement.from_terms((w, cw * c) for x, c in parts for w, cw in x.terms)
 
     @staticmethod
     def from_l(x: LElement) -> "SymElement":
@@ -165,17 +180,9 @@ def counit(u: SymElement) -> Fraction:
 
 
 def _norm_tensor_terms(pairs) -> tuple:
-    acc: dict = {}
-    for wp, c in pairs:
-        c = Fraction(c)
-        if c == 0:
-            continue
-        acc[wp] = acc.get(wp, Fraction(0)) + c
-        if acc[wp] == 0:
-            del acc[wp]
-    return tuple(
-        sorted(acc.items(), key=lambda wc: (_word_rank(wc[0][0]), _word_rank(wc[0][1])))
-    )
+    merged = _merge(pairs)
+    merged.sort(key=lambda wc: (_word_rank(wc[0][0]), _word_rank(wc[0][1])))
+    return tuple(merged)
 
 
 @dataclass(frozen=True)
@@ -208,9 +215,6 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         return TensorElement.from_terms(list(self.terms) + list(other.terms))
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + TensorElement(tuple((wp, -c) for wp, c in other.terms))
 
 
 # -- commutative product and coproduct ---------------------------------------
@@ -250,17 +254,10 @@ def _word_splits(w: SymWord):
     yield from rec(0, [], [], 1)
 
 
-def coshuffle_word(w: SymWord) -> TensorElement:
-    return TensorElement.from_terms(
-        ((w1, w2), Fraction(c)) for w1, w2, c in _word_splits(w)
-    )
-
-
 def coshuffle(u: SymElement) -> TensorElement:
-    out = TensorElement.zero()
-    for w, c in u.terms:
-        out = out + TensorElement(tuple((wp, cc * c) for wp, cc in coshuffle_word(w).terms))
-    return out
+    return TensorElement.from_terms(
+        ((w1, w2), c * mult) for w, c in u.terms for w1, w2, mult in _word_splits(w)
+    )
 
 
 # -- the two structures ------------------------------------------------------
@@ -286,11 +283,9 @@ class Structure:
         return pbw_normal_form(w1 + w2, self.lie, cfg)
 
     def mul(self, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
-        out = SymElement.zero()
-        for w1, c1 in u.terms:
-            for w2, c2 in v.terms:
-                out = out + self.mul_words(w1, w2, cfg).scale(c1 * c2)
-        return out
+        return SymElement.sum_of(
+            (self.mul_words(w1, w2, cfg), c1 * c2) for w1, c1 in u.terms for w2, c2 in v.terms
+        )
 
 
 STRUCT_JZ = Structure("jz")
@@ -377,12 +372,12 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
         out = first - second
     else:
         y, rest = (v[0],), v[1:]
-        out = SymElement.zero()
+        parts = []
         for u1, u2, mult in _word_splits(u):
             left = ext_action_word(struct, u1, y, cfg)
             right = ext_action_word(struct, u2, rest, cfg)
-            prod = struct.mul(left, right, cfg)
-            out = out + prod.scale(mult)
+            parts.append((struct.mul(left, right, cfg), mult))
+        out = SymElement.sum_of(parts)
     _ACTION_CACHE[key] = out
     return out
 
@@ -390,42 +385,42 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
 def ext_action_elem(
     struct: Structure, u: SymElement, v: SymElement, cfg: Config
 ) -> SymElement:
-    out = SymElement.zero()
-    for wu, cu in u.terms:
-        for wv, cv in v.terms:
-            out = out + ext_action_word(struct, wu, wv, cfg).scale(cu * cv)
-    return out
+    return SymElement.sum_of(
+        (ext_action_word(struct, wu, wv, cfg), cu * cv) for wu, cu in u.terms for wv, cv in v.terms
+    )
 
 
 def star_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> SymElement:
-    out = SymElement.zero()
-    for u1, u2, mult in _word_splits(u):
-        acted = ext_action_word(struct, u2, v, cfg)
-        out = out + struct.mul(SymElement.single(u1), acted, cfg).scale(mult)
-    return out
+    return SymElement.sum_of(
+        (struct.mul(SymElement.single(u1), ext_action_word(struct, u2, v, cfg), cfg), mult)
+        for u1, u2, mult in _word_splits(u)
+    )
 
 
 def star(struct: Structure, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
-    out = SymElement.zero()
-    for wu, cu in u.terms:
-        for wv, cv in v.terms:
-            out = out + star_word(struct, wu, wv, cfg).scale(cu * cv)
-    return out
+    return SymElement.sum_of(
+        (star_word(struct, wu, wv, cfg), cu * cv) for wu, cu in u.terms for wv, cv in v.terms
+    )
+
+
+def tensor_componentwise(word_mul, t1: TensorElement, t2: TensorElement) -> TensorElement:
+    """(a1 (x) b1)(a2 (x) b2) = word_mul(a1, a2) (x) word_mul(b1, b2), bilinearly."""
+    terms = []
+    for (a1, b1), c1 in t1.terms:
+        for (a2, b2), c2 in t2.terms:
+            left = word_mul(a1, a2)
+            right = word_mul(b1, b2)
+            for wl, cl in left.terms:
+                c = c1 * c2 * cl
+                terms.extend(((wl, wr), c * cr) for wr, cr in right.terms)
+    return TensorElement.from_terms(terms)
 
 
 def tensor_star(
     struct: Structure, t1: TensorElement, t2: TensorElement, cfg: Config
 ) -> TensorElement:
     """Componentwise star on tensors."""
-    out = TensorElement.zero()
-    for (a1, b1), c1 in t1.terms:
-        for (a2, b2), c2 in t2.terms:
-            left = star_word(struct, a1, a2, cfg)
-            right = star_word(struct, b1, b2, cfg)
-            for wl, cl in left.terms:
-                for wr, cr in right.terms:
-                    out = out + TensorElement.single(wl, wr, c1 * c2 * cl * cr)
-    return out
+    return tensor_componentwise(lambda a, b: star_word(struct, a, b, cfg), t1, t2)
 
 
 def phi(struct: Structure, seq: Sequence[LBasisKey], cfg: Config) -> SymElement:
@@ -450,20 +445,6 @@ def pairing(u: SymElement, v: SymElement) -> Fraction:
     for w, c in u.terms:
         if w in vals:
             out += c * vals[w] * sigma(w)
-    return out
-
-
-def tensor_pairing(u: SymElement, v: SymElement, t: TensorElement) -> Fraction:
-    """<u (x) v, t> with the word pairing on both legs."""
-    out = Fraction(0)
-    for (a, b), c in t.terms:
-        cu = u.coeff(a)
-        if cu == 0:
-            continue
-        cv = v.coeff(b)
-        if cv == 0:
-            continue
-        out += c * cu * sigma(a) * cv * sigma(b)
     return out
 
 
@@ -609,22 +590,24 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
     hit = _DUAL_LETTER_CACHE.get((x, cfg))
     if hit is not None:
         return hit
-    out = TensorElement.single((x,), EMPTY_WORD)
     if isinstance(x, Shift):
-        out = out + TensorElement.single(EMPTY_WORD, (x,))
-        _DUAL_LETTER_CACHE[(x, cfg)] = out
-        return out
-    closure = _letter_closure(x, cfg)
-    ax, cx = _deg2(x)
-    for y in closure:
-        if not isinstance(y, Tilt):
-            continue  # nothing acts nontrivially on a bare shift
-        ay, cy = _deg2(y)
-        for u in [EMPTY_WORD] + _letter_words(closure, ax - ay, cx - cy):
-            acted = ext_action_word(STRUCT_BTR, u, (y,), cfg)
-            c = acted.coeff((x,))
-            if c != 0:
-                out = out + TensorElement.single(u, (y,), c / sigma(u))
+        # primitive: x (x) 1 + 1 (x) x
+        out = TensorElement.single((x,), EMPTY_WORD) + TensorElement.single(EMPTY_WORD, (x,))
+    else:
+        terms = [(((x,), EMPTY_WORD), 1)]
+        closure = _letter_closure(x, cfg)
+        ax, cx = _deg2(x)
+        for y in closure:
+            if not isinstance(y, Tilt):
+                continue  # nothing acts nontrivially on a bare shift
+            ay, cy = _deg2(y)
+            for u in [EMPTY_WORD] + _letter_words(closure, ax - ay, cx - cy):
+                acted = ext_action_word(STRUCT_BTR, u, (y,), cfg)
+                c = acted.coeff((x,))
+                if c != 0:
+                    # c is a Fraction, so the division stays exact
+                    terms.append(((u, (y,)), c / sigma(u)))
+        out = TensorElement.from_terms(terms)
     _DUAL_LETTER_CACHE[(x, cfg)] = out
     return out
 

@@ -24,7 +24,7 @@ not an optimization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -119,16 +119,23 @@ def compare_hom(h1: HomDegree, h2: HomDegree, cfg: Config) -> int:
     return 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiIndex:
     """Immutable canonical sparse multi-index.
 
     entries is a tuple of (key, multiplicity) pairs in canonical key order
     with all multiplicities >= 1.  Construct through from_dict / single /
-    zero, or with already-canonical entries.
+    zero, or with already-canonical entries.  Stores its hash, that of
+    (entries,), once computed.
     """
 
     entries: tuple = ()
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.entries,)))
+        return self._hash
 
     def __post_init__(self):
         dim = None
@@ -196,11 +203,6 @@ class MultiIndex:
         """Total number of factors counted with multiplicity."""
         return sum(m for _, m in self.entries)
 
-    def max_k_index(self) -> int:
-        """Largest counting-key index present, or -1 if none."""
-        ks = [k for k, _ in self.k_entries()]
-        return max(ks) if ks else -1
-
     def dim(self) -> int | None:
         """Length of direction keys if any are present, else None."""
         for k, _ in self.entries:
@@ -237,9 +239,6 @@ class MultiIndex:
             return self.sub(other)
         except ValueError:
             return None
-
-    def divides(self, other: "MultiIndex") -> bool:
-        return all(other.get(k) >= m for k, m in self.entries)
 
     def divisors(self) -> Iterator["MultiIndex"]:
         """All componentwise sub-multi-indices, the zero index included."""

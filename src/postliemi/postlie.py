@@ -28,7 +28,7 @@ closed under btr, which the test suite checks by sampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
@@ -56,12 +56,20 @@ from .multiindex import (
 from .polyalg import Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tilt:
-    """Basis key z^gamma * D^(n); n is a d-tuple, zero allowed."""
+    """Basis key z^gamma * D^(n); n is a d-tuple, zero allowed.  Stores its
+    hash, that of (gamma, n), and its ``structural_rank`` once computed."""
 
     gamma: MultiIndex
     n: tuple
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _rank: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.gamma, self.n)))
+        return self._hash
 
     def __post_init__(self):
         if not isinstance(self.n, tuple) or not self.n:
@@ -75,11 +83,18 @@ class Tilt:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Shift:
-    """Basis key 1 * partial_i (no decoration by construction)."""
+    """Basis key 1 * partial_i (no decoration by construction); stores its
+    hash like ``Tilt``."""
 
     i: int
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.i,)))
+        return self._hash
 
     def __post_init__(self):
         if not isinstance(self.i, int) or self.i < 1:
@@ -113,7 +128,9 @@ def structural_rank(key: LBasisKey):
     """Configuration-free total order used for canonical storage."""
     if isinstance(key, Shift):
         return (0, key.i, (), 0, ())
-    return (1, 0, key.gamma.sort_rank(), n_norm(key.n), key.n)
+    if key._rank is None:
+        object.__setattr__(key, "_rank", (1, 0, key.gamma.sort_rank(), n_norm(key.n), key.n))
+    return key._rank
 
 
 def pbw_rank(key: LBasisKey, cfg: Config):
@@ -314,17 +331,6 @@ def adjoint_pair(prod: BilinearOp, lie: BilinearOp) -> Tuple[BilinearOp, Bilinea
         return -lie(x, y, cfg)
 
     return new_prod, new_lie
-
-
-OPS: dict = {
-    "triangleright": triangleright,
-    "bracket": bracket,
-    "diamond": diamond,
-    "btr": btr,
-    "bbracket": bbracket,
-    "grand_bracket": grand_bracket,
-    "zero": zero_op,
-}
 
 
 # -- torsion, curvature, Bianchi ---------------------------------------------

@@ -38,17 +38,17 @@ def direction_tuples(d: int, max_norm: int, include_zero: bool = False) -> list:
     return out
 
 
-def brute_slice(val: Fraction, cfg: Config) -> set:
+def brute_slice(val: Fraction, cfg: Config, max_k: int = -1) -> set:
     """The capped degree slice {gamma : |gamma| <= val}, enumerated the slow way.
 
-    Candidate support: counting keys k <= floor(val/alpha), direction keys
-    with |n| <= floor(val).  Exponents are chosen one key at a time against
-    the remaining exact budget; nothing smarter.
+    Candidate support: counting keys k <= max(floor(val/alpha), max_k),
+    direction keys with |n| <= floor(val).  Exponents are chosen one key at a
+    time against the remaining exact budget; nothing smarter.
     """
     val = Fraction(val)
     if val < 0:
         return set()
-    kmax = int(val / cfg.alpha)
+    kmax = max(int(val / cfg.alpha), max_k)
     nmax = int(val)
     keys = [(k, cfg.alpha) for k in range(kmax + 1)]
     keys += [(n, Fraction(n_norm(n))) for n in direction_tuples(cfg.d, nmax)]
@@ -90,12 +90,13 @@ def word_degree(w) -> HomDegree:
     return deg
 
 
-def brute_letters(max_gamma: Fraction, cfg: Config) -> list:
+def brute_letters(max_gamma: Fraction, cfg: Config, max_k: int = -1) -> list:
     """Every basis key of the graded subalgebra whose decoration stays at or
     below the given degree value: all shifts, and every tilt with
-    |gamma| <= max_gamma and |gamma| > |n|."""
+    |gamma| <= max_gamma and |gamma| > |n|, counting keys capped as in
+    ``brute_slice``."""
     out = [Shift(i) for i in range(1, cfg.d + 1)]
-    for g in sorted(brute_slice(max_gamma, cfg), key=lambda g: g.sort_rank()):
+    for g in sorted(brute_slice(max_gamma, cfg, max_k), key=lambda g: g.sort_rank()):
         gval = hom_value(g, cfg)
         for n in direction_tuples(cfg.d, int(Fraction(max_gamma)), include_zero=True):
             if gval > n_norm(n):
@@ -130,15 +131,19 @@ def brute_coaction(target: MultiIndex, cfg: Config) -> dict:
 
     Scans every word of in-L letters whose decorations fit in the degree
     slice of the target, and every source monomial with the complementary
-    degree, counting keys capped by the largest one in the target.  Each
-    candidate is settled by applying the word to the source and reading off
-    one coefficient.
+    degree.  Counting keys of letters and sources both range up to the
+    largest one in the target (letters also up to the slice cap): the action
+    never lowers an index and decorations multiply straight through, so a
+    larger key cannot reach the target, while a letter such as z_3 D(0,0)
+    at alpha = 1/2 and |target| = 1 can although 3 exceeds the slice cap 2.
+    Each candidate is settled by applying the word to the source and reading
+    off one coefficient.
     """
     tval = hom_value(target, cfg)
     ht = homogeneity(target)
     k_keys = [k for k, _ in target.k_entries()]
     max_k = max(k_keys) if k_keys else -1
-    letters = brute_letters(tval, cfg)
+    letters = brute_letters(tval, cfg, max_k)
     out = {}
     for u in budget_words(letters, tval, cfg):
         need = ht - word_degree(u)

@@ -10,7 +10,7 @@ from postliemi.coordinates import (
     derivation_labels,
     print_constants,
 )
-from postliemi.suites import SUITES
+from postliemi.suites import SUITES, SuiteResult
 
 
 def run(capsys, argv):
@@ -72,6 +72,26 @@ def test_verify_rejects_unknown_suite(capsys):
     rc, _, err = run(capsys, ["verify", "no-such-suite"])
     assert rc == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("samples", ["-5", "0"])
+def test_verify_rejects_samples_below_one(capsys, samples):
+    rc, out, err = run(capsys, ["verify", "bianchi", "--samples", samples])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+def test_verify_accepts_one_sample(capsys):
+    rc, out, _ = run(capsys, ["verify", "bianchi", "--samples", "1"])
+    assert rc == 0
+    assert out == "[PASS] bianchi: 3 checks\n"
+
+
+def test_a_suite_without_checks_fails():
+    r = SuiteResult("empty", "checks nothing")
+    assert not r.passed
+    assert r.line() == "[FAIL] empty: 0 checks"
 
 
 def test_dual_coproduct_of_a_letter(capsys):

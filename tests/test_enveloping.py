@@ -4,10 +4,20 @@ pairing, and the dual coproduct."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from postliemi.errors import TruncationRefused
 from postliemi.multiindex import Config, MultiIndex
-from postliemi.postlie import Shift, Tilt, bracket, btr, triangleright, zero_op
+from postliemi.postlie import (
+    Shift,
+    Tilt,
+    bracket,
+    btr,
+    structural_rank,
+    triangleright,
+    zero_op,
+)
 from postliemi.enveloping import (
     STRUCT_BTR,
     STRUCT_JZ,
@@ -32,7 +42,7 @@ from postliemi.enveloping import (
     tmap,
 )
 
-from oracles import brute_dual_coproduct, brute_letters
+from oracles import brute_dual_coproduct, brute_dual_table, brute_letters
 
 CFG = Config(2, Fraction(1, 2))
 CFG34 = Config(2, Fraction(3, 4))
@@ -50,6 +60,63 @@ def w(*letters):
 
 def elem(*letters):
     return SymElement.single(sym_word(letters))
+
+
+# -- sums are merged once ----------------------------------------------------
+
+LETTERS = [P1, P2, Z0D0, Z0D10, ZN]
+words = st.lists(st.sampled_from(LETTERS), max_size=3).map(sym_word)
+coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+sym_elements = st.lists(st.tuples(words, coeffs), max_size=4).map(SymElement.from_terms)
+tensor_elements = st.lists(st.tuples(st.tuples(words, words), coeffs), max_size=4).map(
+    TensorElement.from_terms
+)
+scaled = st.one_of(coeffs, st.integers(-2, 2))
+
+
+def _rank(word):
+    return (len(word), tuple(structural_rank(x) for x in word))
+
+
+def _fold(parts, zero):
+    """The sum as a left fold of +, one scaled piece at a time."""
+    out = zero
+    for x, c in parts:
+        out = out + x.__class__(tuple((k, cc * c) for k, cc in x.terms))
+    return out
+
+
+@given(st.lists(st.tuples(sym_elements, scaled), max_size=5))
+def test_one_merge_sum_equals_the_fold(parts):
+    got = SymElement.sum_of(parts)
+    assert got == _fold(parts, SymElement.zero())
+    ranks = [_rank(w) for w, _ in got.terms]
+    assert ranks == sorted(set(ranks))
+    assert all(isinstance(c, Fraction) and c != 0 for _, c in got.terms)
+    assert SymElement.sum_of(parts + [(x, -c) for x, c in parts]).is_zero
+
+
+@given(st.lists(st.tuples(tensor_elements, scaled), max_size=5))
+def test_one_merge_tensor_sum_equals_the_fold(parts):
+    pieces = [(wp, cc * c) for x, c in parts for wp, cc in x.terms]
+    got = TensorElement.from_terms(pieces)
+    assert got == _fold(parts, TensorElement.zero())
+    ranks = [(_rank(a), _rank(b)) for (a, b), _ in got.terms]
+    assert ranks == sorted(set(ranks))
+    assert all(isinstance(c, Fraction) and c != 0 for _, c in got.terms)
+    assert TensorElement.from_terms(pieces + [(wp, -c) for wp, c in pieces]).is_zero
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR])
+@given(sym_elements, sym_elements)
+def test_products_equal_their_folded_definitions(struct, u, v):
+    pairs = [(wu, cu, wv, cv) for wu, cu in u.terms for wv, cv in v.terms]
+    mul = [(struct.mul_words(a, b, CFG), ca * cb) for a, ca, b, cb in pairs]
+    assert struct.mul(u, v, CFG) == _fold(mul, SymElement.zero())
+    starred = [(star_word(struct, a, b, CFG), ca * cb) for a, ca, b, cb in pairs]
+    assert star(struct, u, v, CFG) == _fold(starred, SymElement.zero())
+    split = [(coshuffle(SymElement.single(a)), c) for a, c in u.terms]
+    assert coshuffle(u) == _fold(split, TensorElement.zero())
 
 
 # -- coshuffle ---------------------------------------------------------------
@@ -267,6 +334,14 @@ def test_dual_coproduct_matches_the_pair_scan():
     ]:
         expect = brute_dual_coproduct(target, letters, CFG34)
         got = {pair: c for pair, c in dual_coproduct(target, CFG34).terms}
+        assert got == expect
+
+
+def test_dual_coproduct_matches_the_exhaustive_table_where_degrees_tie():
+    table = brute_dual_table(brute_letters(Fraction(1), CFG), Fraction(1), CFG)
+    assert len(table) == 20
+    for target, expect in table.items():
+        got = {pair: c for pair, c in dual_coproduct(target, CFG).terms}
         assert got == expect
 
 

@@ -1,6 +1,7 @@
 """Multi-index arithmetic: exact degrees, comparison, the capped slice,
 and the text form."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -68,6 +69,32 @@ def test_homogeneity_counts_both_families():
     g = e(0, 2) + e(5) + e((2, 1))
     assert homogeneity(g) == HomDegree(3, 3)
     assert hom_value(g, CFG) == Fraction(3, 2) + 3
+
+
+# -- hashing -----------------------------------------------------------------
+
+
+@given(multiindices)
+def test_hash_is_that_of_the_compared_fields(g):
+    assert hash(g) == hash((g.entries,))
+    assert hash(g) == hash((g.entries,))  # the stored value, on a second call
+    assert repr(g) == f"MultiIndex(entries={g.entries!r})"
+
+
+@given(multiindices, multiindices)
+def test_equal_indices_from_different_routes_hash_equal(g1, g2):
+    routes = [
+        g1,
+        (g1 + g2).sub(g2),
+        MultiIndex.from_dict(g1.as_dict()),
+        MultiIndex(g1.entries),
+        parse_multiindex(print_multiindex(g1)),
+        pickle.loads(pickle.dumps(g1)),
+    ]
+    for g in routes:
+        assert g == g1
+        assert hash(g) == hash(g1)
+    assert len(set(routes)) == 1
 
 
 # -- comparison --------------------------------------------------------------

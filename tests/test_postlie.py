@@ -1,12 +1,15 @@
 """The decorated-derivation space: its two products, the connection, the
 deformed product, and the generic torsion/curvature calculus."""
 
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from postliemi.multiindex import Config, MultiIndex
+from postliemi.multiindex import Config, MultiIndex, n_norm, print_multiindex
 from postliemi.postlie import (
     LElement,
     Shift,
@@ -26,7 +29,10 @@ from postliemi.postlie import (
     in_L,
     in_L0,
     parse_l_element,
+    parse_l_key,
     print_l_element,
+    print_l_key,
+    structural_rank,
     torsion,
     triangleright,
     zero_op,
@@ -191,6 +197,58 @@ def test_adjoint_product_example():
     x, y = P1, tilt({0: 1}, (2, 1))
     assert prod(x, y, CFG) == triangleright(x, y, CFG) + tilt({0: 1}, (1, 1)).scale(-2)
     assert lie(x, y, CFG) == -bracket(x, y, CFG)
+
+
+# -- basis keys --------------------------------------------------------------
+
+gammas = st.dictionaries(
+    st.one_of(st.integers(0, 3), st.sampled_from([(1, 0), (0, 1), (1, 1)])),
+    st.integers(1, 3),
+    max_size=3,
+).map(MultiIndex.from_dict)
+dirs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@given(gammas, dirs, st.integers(1, 4))
+def test_key_hash_and_repr_are_those_of_the_fields(g, n, i):
+    key = Tilt(g, n)
+    assert hash(key) == hash((g, n))
+    assert hash(key) == hash((g, n))  # the stored value, on a second call
+    assert repr(key) == f"Tilt(gamma={g!r}, n={n!r})"
+    assert structural_rank(key) == (1, 0, g.sort_rank(), n_norm(n), n)
+    assert structural_rank(key) is structural_rank(key)
+    assert hash(Shift(i)) == hash((i,))
+    assert repr(Shift(i)) == f"Shift(i={i})"
+
+
+@given(gammas, gammas, dirs, st.integers(1, 2))
+def test_equal_keys_from_different_routes_hash_equal(g, h, n, i):
+    key = Tilt(g, n)
+    routes = [
+        key,
+        Tilt((g + h).sub(h), n),
+        Tilt(MultiIndex.from_dict(g.as_dict()), tuple(n)),
+        parse_l_key(print_l_key(key), 2),
+        parse_l_key("z" + print_multiindex(g) + "xD(" + ",".join(map(str, n)) + ")"),
+        pickle.loads(pickle.dumps(key)),
+    ]
+    for other in routes:
+        assert other == key
+        assert hash(other) == hash(key)
+        assert structural_rank(other) == structural_rank(key)
+    assert len(set(routes)) == 1
+    assert parse_l_key(f"P{i}") == Shift(i)
+    assert hash(parse_l_key(f"P{i}")) == hash(Shift(i))
+    assert Shift(i) != Tilt(MultiIndex.zero(), (0, 0))
+
+
+def test_keys_stay_immutable():
+    key = Tilt(MultiIndex.single(0), (1, 0))
+    hash(key)
+    with pytest.raises(AttributeError):
+        key.n = (0, 1)
+    with pytest.raises(AttributeError):
+        Shift(1).i = 2
 
 
 # -- membership --------------------------------------------------------------

@@ -195,6 +195,25 @@ def test_coaction_matches_the_brute_scan():
         assert got == brute_coaction(target, CFG34)
 
 
+def test_coaction_matches_the_brute_scan_where_degrees_tie():
+    # at alpha = 1/2 the degree pairs (2, 0) and (0, 1) have equal value; the
+    # last three targets carry a counting key above the slice cap floor(1/alpha)
+    targets = sorted(brute_slice(Fraction(1), CFG), key=lambda g: g.sort_rank())
+    targets += [MultiIndex.from_dict(m) for m in ({1: 1, 3: 1}, {2: 1, 3: 1}, {3: 2})]
+    for target in targets:
+        got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG)}
+        assert got == brute_coaction(target, CFG)
+
+
+def test_ladder_letter_above_the_slice_cap_contributes():
+    # z_3 D(0,0) sends z_k to (k + 1) z_3 z_{k+1}
+    ladder = Tilt(MultiIndex.single(3), (0, 0))
+    for k in range(3):
+        target = MultiIndex.single(k + 1) + MultiIndex.single(3)
+        got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG)}
+        assert got[(sym_word((ladder,)), MultiIndex.single(k))] == k + 1
+
+
 def test_coaction_scan_agrees_on_a_small_target():
     # Cheap spot check at a second parameter value; the exhaustive window
     # comparison lives in the acceptance suite.
