@@ -15,9 +15,7 @@ import sys
 from fractions import Fraction
 
 from .coordinates import (
-    check_constant_torsion,
-    check_flat,
-    check_null_torsion,
+    ALL_CHECKS,
     constants_from_derivations,
     derivation_labels,
     parse_constants,
@@ -77,6 +75,11 @@ def _add_config_args(p, alpha_default=Fraction(1, 2)):
         default=alpha_default,
         help=f"grading parameter in (0,1), a fraction (default {alpha_default})",
     )
+
+
+def _require_at_least(flag: str, value, floor: int) -> None:
+    if value is not None and value < floor:
+        raise ParseError(f"{flag} must be at least {floor}, got {value}")
 
 
 def _emit(args, text: str) -> None:
@@ -147,8 +150,8 @@ def cmd_verify(args) -> int:
         lines = [f"{name:<{width}}  {DESCRIPTIONS[name]}" for name in SUITES]
         _emit(args, "\n".join(lines))
         return 0
-    if args.samples is not None and args.samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    _require_at_least("--samples", args.samples, 1)
+    _require_at_least("--max-violations", args.max_violations, 0)
     names = list(args.suite)
     if args.all or not names:
         names = list(SUITES)
@@ -265,20 +268,18 @@ def cmd_coaction(args) -> int:
 
 
 def cmd_check_coords(args) -> int:
+    _require_at_least("--d", args.d, 1)
+    _require_at_least("--max-norm", args.max_norm, 0)
+    _require_at_least("--max-violations", args.max_violations, 0)
     if args.table:
         with open(args.table, encoding="utf-8") as fh:
             sc = parse_constants(fh.read(), args.d)
     else:
         sc = constants_from_derivations(derivation_labels(args.d, args.max_norm))
-    checks = {
-        "torsion": check_null_torsion,
-        "covtorsion": check_constant_torsion,
-        "flat": check_flat,
-    }
     failed = False
     lines = []
     records = []
-    for name, check in checks.items():
+    for name, check in ALL_CHECKS.items():
         found = check(sc)
         failed = failed or bool(found)
         if args.json:

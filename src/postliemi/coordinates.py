@@ -20,6 +20,11 @@ entry by entry, each returning the lexicographically sorted list of
       sum_l ( gamma[i,l,m] gamma[j,k,l] - gamma[j,l,m] gamma[i,k,l]
               - delta[i,j,l] gamma[l,k,m] ) = 0   for all (i,j,k,m).
 
+Each check contracts over nonzero entries only, joining two tables on the
+summed label l, so its cost follows the number of nonzero entries, not
+|I|^5; entries with a label outside I are never read.  The dense form, every
+(i,j,k,m) and l in I, is the oracle in ``tests/oracles.py``.
+
 ``diamond_from_order`` builds a torsion-free connection from a bracket table
 and a ranking of the index set: the full bracket is assigned to the
 ascending side of each noncommuting pair and zero to the other.
@@ -32,6 +37,7 @@ error rather than a silent drop.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -51,16 +57,10 @@ from .multiindex import direction_keys
 
 
 def _norm_table(entries) -> dict:
-    out: dict = {}
+    out = defaultdict(Fraction)
     for (i, j, m), v in entries:
-        v = Fraction(v)
-        if v == 0:
-            continue
-        key = (i, j, m)
-        out[key] = out.get(key, Fraction(0)) + v
-        if out[key] == 0:
-            del out[key]
-    return out
+        out[i, j, m] += Fraction(v)
+    return {key: v for key, v in out.items() if v != 0}
 
 
 @dataclass
@@ -76,9 +76,6 @@ class StructureConstants:
 
     def d(self, i, j, m) -> Fraction:
         return self.delta.get((i, j, m), Fraction(0))
-
-    def pos(self, label) -> int:
-        return self.index_set.index(label)
 
     def validate(self) -> None:
         known = set(self.index_set)
@@ -101,8 +98,11 @@ class StructureConstants:
         return sc
 
     def with_entry(self, kind: str, i, j, m, value) -> "StructureConstants":
-        """Copy with one entry overwritten; skips validation so deliberately
-        broken tables can be built for regression checks."""
+        """Copy with one entry overwritten; skips the antisymmetry validation
+        so deliberately broken tables can be built for regression checks, but
+        rejects labels outside the index set, which no check would read."""
+        if not {i, j, m} <= set(self.index_set):
+            raise ValueError(f"entry ({i},{j},{m}) uses a label outside the index set")
         gamma, delta = dict(self.gamma), dict(self.delta)
         table = gamma if kind == "g" else delta
         value = Fraction(value)
@@ -113,62 +113,73 @@ class StructureConstants:
         return StructureConstants(self.index_set, gamma, delta)
 
 
-def _sorted_violations(sc: StructureConstants, found: dict) -> list:
+def _sorted_nonzero(sc: StructureConstants, table: dict) -> list:
+    """The nonzero (labels, value) pairs of a table, in index-set order."""
     order = {label: k for k, label in enumerate(sc.index_set)}
-    return sorted(found.items(), key=lambda iv: tuple(order[x] for x in iv[0]))
+    nonzero = [(idx, v) for idx, v in table.items() if v != 0]
+    return sorted(nonzero, key=lambda iv: tuple(order[x] for x in iv[0]))
+
+
+def _inside(sc: StructureConstants, table: dict) -> dict:
+    """The entries with all three labels in I, the only ones the checks read."""
+    known = set(sc.index_set)
+    return {key: v for key, v in table.items() if known.issuperset(key)}
+
+
+def _by_label(table: dict, pos: int) -> dict:
+    """Nonzero entries grouped by the label at position pos of their key."""
+    out: dict = {}
+    for key, v in table.items():
+        out.setdefault(key[pos], []).append((key, v))
+    return out
+
+
+def _torsion(gamma: dict, delta: dict) -> dict:
+    """t[j,k,m] = gamma[j,k,m] - gamma[k,j,m] - delta[j,k,m], nonzero entries."""
+    t = defaultdict(Fraction)
+    for (j, k, m), v in gamma.items():
+        t[j, k, m] += v
+        t[k, j, m] -= v
+    for key, v in delta.items():
+        t[key] -= v
+    return {key: v for key, v in t.items() if v != 0}
 
 
 def check_null_torsion(sc: StructureConstants) -> list:
-    found = {}
-    for i in sc.index_set:
-        for j in sc.index_set:
-            for m in sc.index_set:
-                r = sc.g(i, j, m) - sc.g(j, i, m) - sc.d(i, j, m)
-                if r != 0:
-                    found[(i, j, m)] = r
-    return _sorted_violations(sc, found)
-
-
-def _t(sc: StructureConstants, j, k, m) -> Fraction:
-    return sc.g(j, k, m) - sc.g(k, j, m) - sc.d(j, k, m)
+    return _sorted_nonzero(sc, _torsion(_inside(sc, sc.gamma), _inside(sc, sc.delta)))
 
 
 def check_constant_torsion(sc: StructureConstants) -> list:
-    found = {}
-    I = sc.index_set
-    for i in I:
-        for j in I:
-            for k in I:
-                for m in I:
-                    r = Fraction(0)
-                    for l in I:
-                        r += (
-                            sc.g(i, l, m) * _t(sc, j, k, l)
-                            - sc.g(i, j, l) * _t(sc, l, k, m)
-                            - _t(sc, j, l, m) * sc.g(i, k, l)
-                        )
-                    if r != 0:
-                        found[(i, j, k, m)] = r
-    return _sorted_violations(sc, found)
+    gamma = _inside(sc, sc.gamma)
+    t = _torsion(gamma, _inside(sc, sc.delta))
+    g_middle, g_last, t_first = _by_label(gamma, 1), _by_label(gamma, 2), _by_label(t, 0)
+    found = defaultdict(Fraction)
+    for (j, k, l), tv in t.items():  # gamma[i,l,m] t[j,k,l]
+        for (i, _, m), gv in g_middle.get(l, ()):
+            found[i, j, k, m] += gv * tv
+    for (i, j, l), gv in gamma.items():  # - gamma[i,j,l] t[l,k,m]
+        for (_, k, m), tv in t_first.get(l, ()):
+            found[i, j, k, m] -= gv * tv
+    for (j, l, m), tv in t.items():  # - t[j,l,m] gamma[i,k,l]
+        for (i, k, _), gv in g_last.get(l, ()):
+            found[i, j, k, m] -= tv * gv
+    return _sorted_nonzero(sc, found)
 
 
 def check_flat(sc: StructureConstants) -> list:
-    found = {}
-    I = sc.index_set
-    for i in I:
-        for j in I:
-            for k in I:
-                for m in I:
-                    r = Fraction(0)
-                    for l in I:
-                        r += (
-                            sc.g(i, l, m) * sc.g(j, k, l)
-                            - sc.g(j, l, m) * sc.g(i, k, l)
-                            - sc.d(i, j, l) * sc.g(l, k, m)
-                        )
-                    if r != 0:
-                        found[(i, j, k, m)] = r
-    return _sorted_violations(sc, found)
+    gamma, delta = _inside(sc, sc.gamma), _inside(sc, sc.delta)
+    g_first, g_middle = _by_label(gamma, 0), _by_label(gamma, 1)
+    found = defaultdict(Fraction)
+    for (j, k, l), gv in gamma.items():  # gamma[i,l,m] gamma[j,k,l]
+        for (i, _, m), gv2 in g_middle.get(l, ()):
+            found[i, j, k, m] += gv2 * gv
+    for (i, k, l), gv in gamma.items():  # - gamma[j,l,m] gamma[i,k,l]
+        for (j, _, m), gv2 in g_middle.get(l, ()):
+            found[i, j, k, m] -= gv2 * gv
+    for (i, j, l), dv in delta.items():  # - delta[i,j,l] gamma[l,k,m]
+        for (_, k, m), gv in g_first.get(l, ()):
+            found[i, j, k, m] -= dv * gv
+    return _sorted_nonzero(sc, found)
 
 
 ALL_CHECKS = {
@@ -254,12 +265,9 @@ def derivation_order(sc: StructureConstants):
 
 
 def print_constants(sc: StructureConstants) -> str:
-    order = {label: k for k, label in enumerate(sc.index_set)}
     lines = []
     for kind, table in (("g", sc.gamma), ("d", sc.delta)):
-        for (i, j, m), v in sorted(
-            table.items(), key=lambda iv: tuple(order[x] for x in iv[0])
-        ):
+        for (i, j, m), v in _sorted_nonzero(sc, table):
             lines.append(f"{kind} {i} {j} {m} = {v}")
     return "\n".join(lines) + ("\n" if lines else "")
 

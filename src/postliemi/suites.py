@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coordinates import (
+    ALL_CHECKS,
     StructureConstants,
-    check_constant_torsion,
-    check_flat,
     check_null_torsion,
     constants_from_derivations,
     derivation_labels,
@@ -556,11 +555,7 @@ def run_coordinates(samples: int | None, seed: int) -> SuiteResult:
         "tables are caught",
     )
     sc = constants_from_derivations(derivation_labels(2, 2))
-    for label, check in (
-        ("torsion", check_null_torsion),
-        ("covtorsion", check_constant_torsion),
-        ("flat", check_flat),
-    ):
+    for label, check in ALL_CHECKS.items():
         found = check(sc)
         res.checks += 1
         if found:
@@ -580,11 +575,7 @@ def run_coordinates(samples: int | None, seed: int) -> SuiteResult:
         res.violations.append("asymmetric connection mutation passed the torsion check")
     res.checks += 1
     broken_d = sc.with_entry("d", shift_label, dop_label, dop_label, 1)
-    if not (
-        check_null_torsion(broken_d)
-        or check_constant_torsion(broken_d)
-        or check_flat(broken_d)
-    ):
+    if not any(check(broken_d) for check in ALL_CHECKS.values()):
         res.violations.append("bracket mutation passed every residual check")
     return res
 

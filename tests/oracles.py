@@ -256,3 +256,69 @@ def brute_dual_table(letters: list, max_value: Fraction, cfg: Config) -> dict:
                 if w in table:
                     table[w][(u1, u2)] = c * sig[w] / (sig[u1] * sig[u2])
     return table
+
+
+# -- structure-constant checks ------------------------------------------------
+#
+# The dense forms of the three coordinate checks: every (i, j, k, m) in I^4,
+# every summation label l in I, every table read through the accessors.  The
+# library contracts over nonzero entries instead; these loops are what that
+# contraction is checked against.
+
+
+def _sorted_by_position(sc, found: dict) -> list:
+    order = {label: k for k, label in enumerate(sc.index_set)}
+    return sorted(found.items(), key=lambda iv: tuple(order[x] for x in iv[0]))
+
+
+def brute_null_torsion(sc) -> list:
+    found = {}
+    for i in sc.index_set:
+        for j in sc.index_set:
+            for m in sc.index_set:
+                r = sc.g(i, j, m) - sc.g(j, i, m) - sc.d(i, j, m)
+                if r != 0:
+                    found[(i, j, m)] = r
+    return _sorted_by_position(sc, found)
+
+
+def _t(sc, j, k, m) -> Fraction:
+    return sc.g(j, k, m) - sc.g(k, j, m) - sc.d(j, k, m)
+
+
+def brute_constant_torsion(sc) -> list:
+    found = {}
+    I = sc.index_set
+    for i in I:
+        for j in I:
+            for k in I:
+                for m in I:
+                    r = Fraction(0)
+                    for l in I:
+                        r += (
+                            sc.g(i, l, m) * _t(sc, j, k, l)
+                            - sc.g(i, j, l) * _t(sc, l, k, m)
+                            - _t(sc, j, l, m) * sc.g(i, k, l)
+                        )
+                    if r != 0:
+                        found[(i, j, k, m)] = r
+    return _sorted_by_position(sc, found)
+
+
+def brute_flat(sc) -> list:
+    found = {}
+    I = sc.index_set
+    for i in I:
+        for j in I:
+            for k in I:
+                for m in I:
+                    r = Fraction(0)
+                    for l in I:
+                        r += (
+                            sc.g(i, l, m) * sc.g(j, k, l)
+                            - sc.g(j, l, m) * sc.g(i, k, l)
+                            - sc.d(i, j, l) * sc.g(l, k, m)
+                        )
+                    if r != 0:
+                        found[(i, j, k, m)] = r
+    return _sorted_by_position(sc, found)

@@ -166,6 +166,57 @@ def test_check_coords_flags_a_bent_table(capsys, tmp_path):
     assert "nonzero residuals" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [["check-coords", "--max-norm", "4"], ["check-coords", "--d", "3", "--max-norm", "2"]]
+)
+def test_check_coords_larger_truncations_are_clean(capsys, argv):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert out == "torsion: clean\ncovtorsion: clean\nflat: clean\n"
+
+
+TWO_RESIDUAL_TABLE = "g P1 P2 P2 = 1\ng P2 P1 P2 = 1\n"
+
+
+def test_check_coords_json_keeps_residual_order(capsys, tmp_path):
+    table = tmp_path / "mutual.tbl"
+    table.write_text(TWO_RESIDUAL_TABLE)
+    rc, out, _ = run(capsys, ["check-coords", "--table", str(table), "--json"])
+    assert rc == 1
+    assert json.loads(out) == [
+        {"check": "torsion", "residuals": []},
+        {"check": "covtorsion", "residuals": []},
+        {
+            "check": "flat",
+            "residuals": [
+                {"indices": ["P1", "P2", "P1", "P2"], "value": "1"},
+                {"indices": ["P2", "P1", "P1", "P2"], "value": "-1"},
+            ],
+        },
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["check-coords", "--table", "TABLE", "--max-violations", "-1"],
+            "--max-violations must be at least 0, got -1",
+        ),
+        (["check-coords", "--max-norm", "-2"], "--max-norm must be at least 0, got -2"),
+        (["check-coords", "--d", "0"], "--d must be at least 1, got 0"),
+        (["verify", "coordinates", "--max-violations", "-1"], "--max-violations must be at least 0, got -1"),
+    ],
+)
+def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, message):
+    table = tmp_path / "mutual.tbl"
+    table.write_text(TWO_RESIDUAL_TABLE)
+    rc, out, err = run(capsys, [str(table) if a == "TABLE" else a for a in argv])
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_check_coords_rejects_a_malformed_table(capsys, tmp_path):
     table = tmp_path / "broken.tbl"
     table.write_text("this is not a table\n")

@@ -1,8 +1,14 @@
 """Structure constants on a finite truncation: the three polynomial
 conditions and the order-based construction of a torsion-free connection."""
 
-import pytest
+import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_constant_torsion, brute_flat, brute_null_torsion
 from postliemi.coordinates import (
     StructureConstants,
     check_constant_torsion,
@@ -20,6 +26,17 @@ from postliemi.derivations import DOp, Partial
 
 def standard_table():
     return constants_from_derivations(derivation_labels(2, 2))
+
+
+def assert_matches_oracle(sc):
+    for check, brute in (
+        (check_null_torsion, brute_null_torsion),
+        (check_constant_torsion, brute_constant_torsion),
+        (check_flat, brute_flat),
+    ):
+        found = check(sc)
+        assert found == brute(sc)
+        assert all(type(v) is Fraction for _, v in found)
 
 
 def test_connection_table_satisfies_all_three_conditions():
@@ -114,6 +131,18 @@ def test_bracket_table_must_be_antisymmetric():
         StructureConstants.from_entries(("a", "b"), (), [(("a", "b", "a"), 1)])
 
 
+def test_with_entry_rejects_labels_outside_the_index_set():
+    sc = standard_table()
+    with pytest.raises(ValueError, match="outside the index set"):
+        sc.with_entry("d", "P1", "nope", "P1", 1)
+    with pytest.raises(ValueError):
+        sc.with_entry("g", "Q9", "P1", "P1", 1)
+    # antisymmetry is still not enforced, so mutated tables stay buildable
+    broken = sc.with_entry("d", "P1", "P2", "P1", 1)
+    assert broken.d("P1", "P2", "P1") == 1
+    assert broken.d("P2", "P1", "P1") == 0
+
+
 def test_checks_commute_with_relabeling():
     sc = standard_table()
     bent = StructureConstants.from_entries(sc.index_set, sc.delta.items(), sc.delta.items())
@@ -135,3 +164,55 @@ def test_file_form_round_trip():
     assert again.index_set == sc.index_set
     assert again.gamma == sc.gamma
     assert again.delta == sc.delta
+
+
+# -- agreement with the dense oracle -----------------------------------------
+
+LABELS = ("a", "b", "c", "d", "e", "f")
+VALUES = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(lambda v: v != 0)
+
+
+@st.composite
+def raw_tables(draw):
+    """Random gamma and delta on 1-5 labels, delta not necessarily
+    antisymmetric; keys may also use the first label outside the set."""
+    n = draw(st.integers(1, 5))
+    key = st.tuples(*[st.sampled_from(LABELS[: n + 1])] * 3)
+    gamma = draw(st.dictionaries(key, VALUES, max_size=12))
+    delta = draw(st.dictionaries(key, VALUES, max_size=12))
+    return StructureConstants(LABELS[:n], gamma, delta)
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_tables())
+def test_checks_match_the_dense_oracle_on_random_tables(sc):
+    assert_matches_oracle(sc)
+
+
+def delta_mutation(sc, seed):
+    rng = random.Random(seed)
+    i, j, m = (rng.choice(sc.index_set) for _ in range(3))
+    return sc.with_entry("d", i, j, m, rng.choice((-2, -1, 1, 2)))
+
+
+@pytest.mark.parametrize(
+    "max_norm, seed", [(2, None), (2, 0), (2, 1), (2, 2), (3, None), (3, 0)]
+)
+def test_checks_match_the_dense_oracle_on_derivation_tables(max_norm, seed):
+    sc = constants_from_derivations(derivation_labels(2, max_norm))
+    if seed is not None:
+        sc = delta_mutation(sc, seed)
+        assert check_null_torsion(sc)
+    assert_matches_oracle(sc)
+
+
+def test_entries_outside_the_index_set_contribute_nothing():
+    inside = {("a", "b", "b"): Fraction(1), ("b", "a", "b"): Fraction(1)}
+    gamma = {**inside, ("a", "x", "b"): Fraction(2), ("x", "a", "a"): Fraction(-1)}
+    delta = {("a", "b", "x"): Fraction(3), ("b", "x", "a"): Fraction(1, 2)}
+    sc = StructureConstants(("a", "b"), gamma, delta)
+    clean = StructureConstants(("a", "b"), inside)
+    assert_matches_oracle(sc)
+    assert check_null_torsion(sc) == check_null_torsion(clean) == []
+    assert check_constant_torsion(sc) == check_constant_torsion(clean)
+    assert check_flat(sc) == check_flat(clean) != []
