@@ -64,6 +64,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _config(args) -> Config:
+    _require_at_least("--d", args.d, 1)
     return Config(d=args.d, alpha=args.alpha)
 
 
@@ -216,6 +217,7 @@ def cmd_dual_coproduct(args) -> int:
 
 def cmd_gamma(args) -> int:
     cfg = _config(args)
+    _require_at_least("--cutoff", args.cutoff, 0)
     with open(args.char, encoding="utf-8") as fh:
         f = parse_character(fh.read(), cfg.d)
     lines = []
@@ -233,6 +235,7 @@ def cmd_gamma(args) -> int:
 
 def cmd_coaction(args) -> int:
     cfg = _config(args)
+    _require_at_least("--cutoff", args.cutoff, 0)
     from .enveloping import print_word
 
     lines = []

@@ -175,6 +175,15 @@ class MultiIndex:
     def single(key: Key, mult: int = 1) -> "MultiIndex":
         return MultiIndex.from_dict({key: mult})
 
+    @staticmethod
+    def sum_of(indices: Iterable["MultiIndex"]) -> "MultiIndex":
+        """Pointwise sum of any number of multi-indices, merged once."""
+        acc: dict = {}
+        for g in indices:
+            for k, m in g.entries:
+                acc[k] = acc.get(k, 0) + m
+        return MultiIndex.from_dict(acc)
+
     # -- basic access ------------------------------------------------------
 
     def get(self, key: Key) -> int:
@@ -277,21 +286,25 @@ def hom_value(g: MultiIndex, cfg: Config) -> Fraction:
 
 
 def direction_keys(d: int, max_norm: int) -> list:
-    """All direction keys of dimension d with 1 <= |n| <= max_norm, lex order."""
+    """All direction keys of dimension d with 1 <= |n| <= max_norm, lex order.
+
+    These are the weak compositions of 1..max_norm into d parts,
+    C(d + max_norm, d) - 1 of them, generated directly: each coordinate
+    ranges only over what the earlier ones left of the norm budget.
+    """
     if max_norm < 1:
         return []
     out = []
 
-    def rec(prefix: tuple, remaining_slots: int):
+    def rec(prefix: tuple, left: int, remaining_slots: int):
         if remaining_slots == 0:
-            if any(prefix):
-                out.append(prefix)
+            out.append(prefix)
             return
-        for c in range(max_norm + 1):
-            rec(prefix + (c,), remaining_slots - 1)
+        for c in range(left + 1):
+            rec(prefix + (c,), left - c, remaining_slots - 1)
 
-    rec((), d)
-    return sorted((n for n in out if n_norm(n) <= max_norm))
+    rec((), max_norm, d)
+    return out[1:]  # the zero vector comes first in lex order
 
 
 def enumerate_below_value(limit: Fraction, cfg: Config) -> tuple:

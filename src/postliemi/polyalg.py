@@ -26,7 +26,8 @@ from .multiindex import (
 def _norm_terms(pairs) -> tuple:
     acc: dict = {}
     for g, c in pairs:
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 0:
             continue
         if g in acc:

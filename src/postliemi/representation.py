@@ -4,7 +4,10 @@ A basis key a (x) D acts on a polynomial by p -> a * D(p).  Words act two
 ways: ``rho_hat`` composes the letter actions as operators, while ``rho_bar``
 pulls every polynomial decoration out front and applies ``psi_word`` to the
 derivation parts.  The two are intertwined by the word-to-star map: applying
-rho_hat to a word equals applying rho_bar to its iterated star product.
+rho_hat to a word equals applying rho_bar to its iterated star product.  The
+decorations of a word multiply to one monomial, z^front with front the sum of
+its tilt decorations, so ``rho_bar_word`` forms that multi-index once instead
+of multiplying polynomials letter by letter.
 
 ``psi_word`` is the recursion
 
@@ -12,7 +15,8 @@ rho_hat to a word equals applying rho_bar to its iterated star product.
 
 with Psi[] = id and Psi[D] = D; it is symmetric in the derivations even
 though the recursion peels them in order.  Results are memoized per
-(word, monomial, configuration) because the recursion branches factorially.
+(word, monomial, configuration) because the recursion branches factorially,
+and each level gathers its terms and merges them once.
 
 ``coaction_contributions`` inverts rho_bar against a target monomial: it
 finds every (word u, source monomial beta) with
@@ -22,7 +26,11 @@ finds every (word u, source monomial beta) with
 reading the bracket as plain coefficient extraction, and reports the
 coefficient divided by the symmetry factor of u.  The search space is finite:
 tilt decorations must divide the target, the two-component degree is exactly
-additive, and that fixes the shift count and bounds beta.
+additive, and that fixes the shift count and bounds beta.  A choice of tilts
+leaves a counting budget and a direction budget; the source parts that fill
+them and the spreads of the leftover shifts depend on nothing else, so they
+are built once per target and shared by every tilt choice.  Each candidate is
+still settled by evaluating ``rho_bar_word`` on it.
 """
 
 from __future__ import annotations
@@ -89,22 +97,23 @@ def psi_word(ds: tuple, g: MultiIndex, cfg: Config) -> Polynomial:
         out = Polynomial.from_terms(apply_to_monomial(ds[0], g, cfg))
     else:
         head, rest = ds[0], ds[1:]
-        out = apply_derivation(head, psi_word(rest, g, cfg), cfg)
+        terms = list(apply_derivation(head, psi_word(rest, g, cfg), cfg).terms)
         for i in range(len(rest)):
             combo = derivation_diamond(head, rest[i])
             for dnew, c in combo.terms:
                 repl = rest[:i] + (dnew,) + rest[i + 1 :]
-                out = out - psi_word(repl, g, cfg).scale(c)
+                terms.extend((h, -c * ch) for h, ch in psi_word(repl, g, cfg).terms)
+        out = Polynomial.from_terms(terms)
     _PSI_CACHE[key] = out
     return out
 
 
 def psi_apply(ds: Iterable[Derivation], p: Polynomial, cfg: Config) -> Polynomial:
     ds = tuple(ds)
-    out = Polynomial.zero()
+    terms = []
     for g, c in p.terms:
-        out = out + psi_word(ds, g, cfg).scale(c)
-    return out
+        terms.extend((h, c * ch) for h, ch in psi_word(ds, g, cfg).terms)
+    return Polynomial.from_terms(terms)
 
 
 def _compose_derivations(ds: Sequence[Derivation], p: Polynomial, cfg: Config) -> Polynomial:
@@ -116,20 +125,19 @@ def _compose_derivations(ds: Sequence[Derivation], p: Polynomial, cfg: Config) -
 def rho_bar_word(struct: Structure, w: Sequence[LBasisKey], p: Polynomial, cfg: Config) -> Polynomial:
     """Product of the decorations times the derivation-word action.
 
-    In the btr structure the derivation part is psi_word; with the plain
-    structure the diamond terms vanish and it degenerates to composition in
-    the fixed word order.
+    The decorations multiply to the single monomial z^front, front the sum
+    of the tilt decorations (a shift has none).  In the btr structure the
+    derivation part is psi_word; with the plain structure the diamond terms
+    vanish and it degenerates to composition in the fixed word order.
     """
-    front = Polynomial.one()
-    for key in w:
-        front = front * key_poly(key)
+    front = MultiIndex.sum_of(key.gamma for key in w if isinstance(key, Tilt))
     if struct.name == "btr":
         ds = tuple(sorted((key_derivation(k) for k in w), key=derivation_rank))
         acted = psi_apply(ds, p, cfg)
     else:
         ordered = sorted(w, key=lambda k: pbw_rank(k, cfg))
         acted = _compose_derivations([key_derivation(k) for k in ordered], p, cfg)
-    return front * acted
+    return Polynomial.monomial(front) * acted
 
 
 def rho_bar(struct: Structure, u: SymElement, p: Polynomial, cfg: Config) -> Polynomial:
@@ -190,13 +198,14 @@ def _k_parts(count: int, max_key: int) -> list:
 
 
 def _n_parts(budget: int, d: int) -> list:
-    """Multi-indices supported on direction keys with weighted size <= budget."""
+    """Multi-indices supported on direction keys with weighted size <= budget,
+    each paired with what it leaves of the budget."""
     keys = direction_keys(d, budget)
     out = []
 
     def rec(i: int, left: int, acc: dict):
         if i == len(keys):
-            out.append(MultiIndex.from_dict(dict(acc)))
+            out.append((MultiIndex.from_dict(dict(acc)), left))
             return
         w = n_norm(keys[i])
         m = 0
@@ -211,17 +220,18 @@ def _n_parts(budget: int, d: int) -> list:
     return out
 
 
-def _shift_distributions(total: int, d: int) -> list:
-    """All ways of assigning total shift letters to the d directions."""
+def _shift_letters(total: int, d: int) -> list:
+    """All ways of assigning total shift letters to the d directions, each
+    as its list of letters."""
     out = []
 
     def rec(i: int, left: int, acc: list):
         if i == d:
             if left == 0:
-                out.append(tuple(acc))
+                out.append(acc)
             return
         for m in range(left + 1):
-            rec(i + 1, left - m, acc + [m])
+            rec(i + 1, left - m, acc + [Shift(i + 1)] * m)
 
     rec(0, total, [])
     return out
@@ -232,12 +242,18 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
 
     Exact and complete: candidate words are enumerated from divisibility and
     degree bookkeeping, then every candidate coefficient is computed by
-    evaluating the action; zero candidates are dropped.
+    evaluating the action; zero candidates are dropped.  The candidate parts
+    depend on a tilt choice only through its degree bookkeeping, so the
+    counting parts, direction parts and shift-letter lists are built once
+    per target, keyed by their budgets, and shared by every tilt choice.
     """
     ht = homogeneity(target)
     k_keys = [k for k, _ in target.k_entries()]
     max_k = max(k_keys) if k_keys else -1
     letters = _tilt_letter_candidates(target, cfg)
+    k_parts: dict = {}  # counting budget -> source parts on K-keys
+    n_parts: dict = {}  # b budget -> [(part on direction keys, shifts left)]
+    shift_letters: dict = {}  # shift count -> every spread over the d shifts
     results = []
 
     def finish(tilts: list, used: MultiIndex):
@@ -248,16 +264,19 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
         b_budget = ht.b - sum_b + sum_norm
         if b_budget < 0:
             return
-        for k_part in _k_parts(a_fix, max_k):
-            for n_part in _n_parts(b_budget, cfg.d):
+        if a_fix not in k_parts:
+            k_parts[a_fix] = _k_parts(a_fix, max_k)
+        if b_budget not in n_parts:
+            n_parts[b_budget] = _n_parts(b_budget, cfg.d)
+        for k_part in k_parts[a_fix]:
+            for n_part, m_total in n_parts[b_budget]:
                 beta = k_part + n_part
-                m_total = b_budget - homogeneity(n_part).b
-                for dist in _shift_distributions(m_total, cfg.d):
-                    word_letters = list(tilts)
-                    for i, m in enumerate(dist):
-                        word_letters.extend([Shift(i + 1)] * m)
-                    u = sym_word(word_letters)
-                    value = rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg)
+                source = Polynomial.monomial(beta)
+                if m_total not in shift_letters:
+                    shift_letters[m_total] = _shift_letters(m_total, cfg.d)
+                for shifts in shift_letters[m_total]:
+                    u = sym_word(tilts + shifts)
+                    value = rho_bar_word(STRUCT_BTR, u, source, cfg)
                     c = value.coeff(target)
                     if c != 0:
                         results.append(Contribution(u, beta, c / sigma(u)))

@@ -7,8 +7,12 @@ these scans are what that bookkeeping is checked against, so they must not
 share its shortcuts.
 
 The only library pieces reused here are the value types (MultiIndex, words,
-polynomials) and the pointwise evaluators rho_bar_word / star_word, which the
-relevant checks treat as ground truth for single candidates.
+polynomials), the single-letter and single-derivation actions, and the
+pointwise evaluator star_word, which the relevant checks treat as ground
+truth for single candidates.  Words act on polynomials through
+``brute_rho_bar_word`` below, which recomputes every branch of the psi
+recursion, folds every sum with + and multiplies the decorations of a word
+letter by letter, so it shares no memo and no merge with the library.
 """
 
 from __future__ import annotations
@@ -16,6 +20,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+from postliemi.derivations import (
+    apply as apply_derivation,
+    apply_to_monomial,
+    derivation_rank,
+    diamond as derivation_diamond,
+)
 from postliemi.multiindex import (
     Config,
     HomDegree,
@@ -25,9 +35,8 @@ from postliemi.multiindex import (
     n_norm,
 )
 from postliemi.polyalg import Polynomial
-from postliemi.postlie import Shift, Tilt
+from postliemi.postlie import Shift, Tilt, key_derivation, key_poly, pbw_rank
 from postliemi.enveloping import STRUCT_BTR, sigma, star_word, sym_word
-from postliemi.representation import rho_bar_word
 
 
 def direction_tuples(d: int, max_norm: int, include_zero: bool = False) -> list:
@@ -70,6 +79,52 @@ def brute_slice(val: Fraction, cfg: Config, max_k: int = -1) -> set:
 
 def brute_slice_hom(bound: HomDegree, cfg: Config) -> set:
     return brute_slice(bound.value(cfg), cfg)
+
+
+# -- action of a word by the defining recursion ------------------------------
+#
+# Psi[D0 D1 ... Dn] p = D0(Psi[D1 ... Dn] p) - sum_i Psi[D1 ... (D0 <> Di) ... Dn] p,
+# every sum folded with + and every branch recomputed, and the decorations of
+# the word multiplied together one letter at a time.
+
+
+def brute_psi_word(ds: tuple, g: MultiIndex, cfg: Config) -> Polynomial:
+    if not ds:
+        return Polynomial.monomial(g)
+    if len(ds) == 1:
+        return Polynomial.from_terms(apply_to_monomial(ds[0], g, cfg))
+    head, rest = ds[0], ds[1:]
+    out = apply_derivation(head, brute_psi_word(rest, g, cfg), cfg)
+    for i in range(len(rest)):
+        combo = derivation_diamond(head, rest[i])
+        for dnew, c in combo.terms:
+            repl = rest[:i] + (dnew,) + rest[i + 1 :]
+            out = out - brute_psi_word(repl, g, cfg).scale(c)
+    return out
+
+
+def brute_psi_apply(ds, p: Polynomial, cfg: Config) -> Polynomial:
+    ds = tuple(ds)
+    out = Polynomial.zero()
+    for g, c in p.terms:
+        out = out + brute_psi_word(ds, g, cfg).scale(c)
+    return out
+
+
+def brute_rho_bar_word(struct, w, p: Polynomial, cfg: Config) -> Polynomial:
+    """Product of the decorations times the derivation-word action: psi in
+    the btr structure, composition in PBW order in the plain one."""
+    front = Polynomial.one()
+    for key in w:
+        front = front * key_poly(key)
+    if struct.name == "btr":
+        ds = tuple(sorted((key_derivation(k) for k in w), key=derivation_rank))
+        acted = brute_psi_apply(ds, p, cfg)
+    else:
+        acted = p
+        for k in reversed(sorted(w, key=lambda k: pbw_rank(k, cfg))):
+            acted = apply_derivation(key_derivation(k), acted, cfg)
+    return front * acted
 
 
 # -- alphabet and word enumeration -------------------------------------------
@@ -150,7 +205,7 @@ def brute_coaction(target: MultiIndex, cfg: Config) -> dict:
         if need.a < 0 or need.b < 0:
             continue
         for beta in _sources(need, max_k, cfg):
-            c = rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg).coeff(target)
+            c = brute_rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg).coeff(target)
             if c != 0:
                 out[(u, beta)] = out.get((u, beta), Fraction(0)) + c / sigma(u)
     return {k: v for k, v in out.items() if v != 0}

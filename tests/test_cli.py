@@ -1,5 +1,6 @@
 """End-to-end command line checks: byte-exact tables and exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,21 @@ def test_coaction_table(capsys):
     )
 
 
+# sha256 of the whole stdout: the coaction tables at d=8 and d=3 are pinned
+# byte for byte
+@pytest.mark.parametrize(
+    "d, digest",
+    [
+        ("8", "258c71bfa79435b547b6655e1d4cf1468af8cf869dad30f8fa191e17b8da5e13"),
+        ("3", "f5913608de37abf14e1fd9f8c70a272e8231867e1176308e6caf23314800d548"),
+    ],
+)
+def test_coaction_tables_are_pinned(capsys, d, digest):
+    rc, out, _ = run(capsys, ["coaction", "--d", d, "--cutoff", "2"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_check_coords_builtin_truncation_is_clean(capsys):
     rc, out, _ = run(capsys, ["check-coords"])
     assert rc == 0
@@ -206,6 +222,13 @@ def test_check_coords_json_keeps_residual_order(capsys, tmp_path):
         (["check-coords", "--max-norm", "-2"], "--max-norm must be at least 0, got -2"),
         (["check-coords", "--d", "0"], "--d must be at least 1, got 0"),
         (["verify", "coordinates", "--max-violations", "-1"], "--max-violations must be at least 0, got -1"),
+        (["coaction", "--d", "0"], "--d must be at least 1, got 0"),
+        (["coaction", "--cutoff", "-1"], "--cutoff must be at least 0, got -1"),
+        (["coaction", "--cutoff=-1/4"], "--cutoff must be at least 0, got -1/4"),
+        (["gamma", "--char", "TABLE", "--d", "0"], "--d must be at least 1, got 0"),
+        (["gamma", "--char", "TABLE", "--cutoff", "-1"], "--cutoff must be at least 0, got -1"),
+        (["eval", "diamond([P1],[P2])", "--d", "0"], "--d must be at least 1, got 0"),
+        (["dual-coproduct", "[P1]", "--d", "-3"], "--d must be at least 1, got -3"),
     ],
 )
 def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, message):
@@ -215,6 +238,12 @@ def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, message):
     assert rc == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_zero_cutoff_is_the_unit_monomial_alone(capsys):
+    rc, out, _ = run(capsys, ["coaction", "--cutoff", "0"])
+    assert rc == 0
+    assert out == "target 1\n  1 1 (x) 1\n"
 
 
 def test_check_coords_rejects_a_malformed_table(capsys, tmp_path):

@@ -3,17 +3,20 @@ and the text form."""
 
 import pickle
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postliemi.errors import ParseError
+from postliemi.errors import DimensionMismatch, ParseError
 from postliemi.multiindex import (
     Config,
     HomDegree,
     MultiIndex,
     compare_hom,
+    direction_keys,
     enumerate_below,
     enumerate_below_value,
     hom_value,
@@ -63,6 +66,20 @@ def test_homogeneity_is_additive(g1, g2):
 def test_sub_inverts_add(g1, g2):
     assert (g1 + g2).sub(g2) == g1
     assert (g1 + g2).try_sub(g1) == g2
+
+
+@given(st.lists(multiindices, max_size=4))
+def test_sum_of_is_the_fold_of_add(gs):
+    folded = MultiIndex.zero()
+    for g in gs:
+        folded = folded + g
+    assert MultiIndex.sum_of(gs) == folded
+    assert hash(MultiIndex.sum_of(gs)) == hash(folded)
+
+
+def test_sum_of_refuses_mixed_dimensions():
+    with pytest.raises(DimensionMismatch):
+        MultiIndex.sum_of([e((1, 0)), e(0), e((0, 0, 1))])
 
 
 def test_homogeneity_counts_both_families():
@@ -162,6 +179,27 @@ def test_slice_matches_brute_force(cfg, val):
 
 def test_slice_accepts_a_degree_bound():
     assert enumerate_below(HomDegree(0, 1), CFG) == enumerate_below_value(Fraction(1), CFG)
+
+
+# -- direction keys ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d,m", [(d, m) for d in range(1, 5) for m in range(5)] + [(8, m) for m in range(4)]
+)
+def test_direction_keys_are_the_filtered_product_in_lex_order(d, m):
+    expect = sorted(n for n in product(range(m + 1), repeat=d) if 1 <= sum(n) <= m)
+    got = direction_keys(d, m)
+    assert got == expect
+    assert len(got) == comb(d + m, d) - 1
+
+
+def test_direction_keys_grow_polynomially_in_the_dimension():
+    # C(23, 3) - 1 keys, where filtering the product would scan 4**20 tuples
+    got = direction_keys(20, 3)
+    assert len(got) == comb(23, 20) - 1
+    assert got == sorted(set(got))
+    assert all(len(n) == 20 and 1 <= sum(n) <= 3 for n in got)
 
 
 # -- text form ---------------------------------------------------------------

@@ -52,6 +52,12 @@ def test_product_associative_commutative(p, q, r):
     assert multiply(p, q) == multiply(q, p)
 
 
+def test_integer_coefficients_are_stored_as_fractions():
+    p = Polynomial.from_terms([(MultiIndex.single(0), 2), (MultiIndex.zero(), Fraction(1, 2))])
+    assert all(type(c) is Fraction for _, c in p.terms)
+    assert p == Polynomial.from_terms([(MultiIndex.single(0), Fraction(2)), (MultiIndex.zero(), Fraction(1, 2))])
+
+
 def test_coefficient_reads():
     p = mono(0, 2) + mono(1).scale(3)
     assert coeff(p, MultiIndex.single(0, 2)) == 1

@@ -3,6 +3,7 @@ extension, the recursion behind it, and the coaction enumeration."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,10 +22,13 @@ from postliemi.representation import (
     rho_hat,
 )
 
-from oracles import brute_coaction, brute_slice
+from oracles import brute_coaction, brute_rho_bar_word, brute_slice
 
 CFG = Config(2, Fraction(1, 2))
 CFG34 = Config(2, Fraction(3, 4))
+CFG3 = Config(3, Fraction(3, 4))
+CFG3_HALF = Config(3, Fraction(1, 2))
+CFG8 = Config(8, Fraction(3, 4))
 
 
 def mono(key, mult=1):
@@ -161,6 +165,34 @@ def test_recursion_respects_the_grading(word, p):
         assert any(homogeneity(g) == source for g, _ in p.terms)
 
 
+# -- against the unmemoized evaluator ---------------------------------------
+
+letter_words = st.lists(
+    st.sampled_from(
+        [
+            Shift(1),
+            Shift(2),
+            Z0D0,
+            Tilt(MultiIndex.single(0), (1, 0)),
+            Tilt(MultiIndex.single(0, 2), (0, 1)),
+            Tilt(MultiIndex.single(1), (0, 0)),
+            Tilt(MultiIndex.single((1, 0)), (0, 0)),
+            Tilt(MultiIndex.single(0) + MultiIndex.single((0, 1)), (1, 0)),
+            Tilt(MultiIndex.single((1, 1)), (1, 0)),
+        ]
+    ),
+    max_size=3,
+).map(sym_word)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG34], ids=["alpha=1/2", "alpha=3/4"])
+@pytest.mark.parametrize("struct", [STRUCT_BTR, STRUCT_JZ], ids=["btr", "jz"])
+@settings(max_examples=40)
+@given(word=letter_words, p=polys)
+def test_rho_bar_word_matches_the_unmemoized_recursion(struct, cfg, word, p):
+    assert rho_bar_word(struct, word, p, cfg) == brute_rho_bar_word(struct, word, p, cfg)
+
+
 # -- coaction ----------------------------------------------------------------
 
 
@@ -203,6 +235,34 @@ def test_coaction_matches_the_brute_scan_where_degrees_tie():
     for target in targets:
         got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG)}
         assert got == brute_coaction(target, CFG)
+
+
+def test_coaction_matches_the_brute_scan_in_three_dimensions():
+    for cutoff, cfg in ((Fraction(3, 2), CFG3), (Fraction(1), CFG3_HALF)):
+        targets = sorted(brute_slice(cutoff, cfg), key=lambda g: g.sort_rank())
+        assert len(targets) == 13
+        for target in targets:
+            got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, cfg)}
+            assert got == brute_coaction(target, cfg)
+
+
+def test_coaction_matches_the_brute_scan_in_eight_dimensions():
+    targets = sorted(brute_slice(Fraction(1), CFG8), key=lambda g: g.sort_rank())
+    assert len(targets) == 11
+    for target in targets:
+        got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG8)}
+        assert got == brute_coaction(target, CFG8)
+
+
+def test_coaction_matches_the_brute_scan_where_shifts_contribute():
+    # z_1 z_n is reached from z_0 by the bare shift in direction n; the slices
+    # above are too low in degree for any shift letter to appear
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    targets = [MultiIndex.single(k) + MultiIndex.single(n) for k in (1, 2) for n in units]
+    for target in targets:
+        got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG3)}
+        assert any(isinstance(x, Shift) for word, _ in got for x in word)
+        assert got == brute_coaction(target, CFG3)
 
 
 def test_ladder_letter_above_the_slice_cap_contributes():
