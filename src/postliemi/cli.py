@@ -195,6 +195,11 @@ def cmd_verify(args) -> int:
 
 def cmd_dual_coproduct(args) -> int:
     cfg = _config(args)
+    # the unit word needs neither a letter nor a letter degree, so 0 is the
+    # floor of both; a bound too tight for the given word is the library's
+    # TruncationRefused
+    _require_at_least("--max-word-len", args.max_word_len, 0)
+    _require_at_least("--max-letter-degree", args.max_letter_degree, 0)
     w = parse_word(args.word, cfg.d)
     trunc = None
     if args.max_word_len is not None or args.max_letter_degree is not None:

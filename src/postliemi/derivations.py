@@ -174,6 +174,10 @@ class DerivationCombo:
         return not self.terms
 
     def __add__(self, other: "DerivationCombo") -> "DerivationCombo":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         return DerivationCombo.from_terms(list(self.terms) + list(other.terms))
 
     def __neg__(self) -> "DerivationCombo":

@@ -213,8 +213,10 @@ class MultiIndex:
         return sum(m for _, m in self.entries)
 
     def dim(self) -> int | None:
-        """Length of direction keys if any are present, else None."""
-        for k, _ in self.entries:
+        """Length of direction keys if any are present, else None.  They
+        sort after every counting key, so the last entry tells."""
+        if self.entries:
+            k = self.entries[-1][0]
             if isinstance(k, tuple):
                 return len(k)
         return None
@@ -227,21 +229,25 @@ class MultiIndex:
             raise DimensionMismatch(f"multi-indices over dimensions {d1} and {d2}")
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
+        if not other.entries:
+            return self
+        if not self.entries:
+            return other
         self._check_dims(other)
-        acc = self.as_dict()
+        acc = dict(self.entries)
         for k, m in other.entries:
             acc[k] = acc.get(k, 0) + m
-        return MultiIndex.from_dict(acc)
+        return _trusted(acc)
 
     def sub(self, other: "MultiIndex") -> "MultiIndex":
         """Pointwise difference; raises ValueError if any entry goes negative."""
         self._check_dims(other)
-        acc = self.as_dict()
+        acc = dict(self.entries)
         for k, m in other.entries:
             acc[k] = acc.get(k, 0) - m
             if acc[k] < 0:
                 raise ValueError(f"subtraction would make {k!r} negative")
-        return MultiIndex.from_dict(acc)
+        return _trusted(acc)
 
     def try_sub(self, other: "MultiIndex") -> "MultiIndex | None":
         try:
@@ -269,6 +275,19 @@ class MultiIndex:
 
 
 _ZERO = MultiIndex(())
+
+
+def _trusted(acc: dict) -> MultiIndex:
+    """The multi-index of a key -> multiplicity dict whose keys are valid, of
+    one dimension, and whose multiplicities are naturals: zeros are dropped
+    and the rest sorted, without the ``__post_init__`` re-validation.  Only
+    for arithmetic on operands that were validated when they were built."""
+    g = object.__new__(MultiIndex)
+    items = [(k, m) for k, m in acc.items() if m]
+    items.sort(key=lambda km: _key_rank(km[0]))
+    object.__setattr__(g, "entries", tuple(items))
+    object.__setattr__(g, "_hash", None)
+    return g
 
 
 def add(g1: MultiIndex, g2: MultiIndex) -> MultiIndex:

@@ -36,8 +36,8 @@ from .derivations import (
     DOp,
     Derivation,
     Partial,
+    apply_to_monomial,
     compose_commutator,
-    apply as apply_derivation,
 )
 from .derivations import diamond as derivation_diamond
 from .errors import DimensionMismatch, ParseError
@@ -59,12 +59,14 @@ from .polyalg import Polynomial
 @dataclass(frozen=True, slots=True)
 class Tilt:
     """Basis key z^gamma * D^(n); n is a d-tuple, zero allowed.  Stores its
-    hash, that of (gamma, n), and its ``structural_rank`` once computed."""
+    hash, that of (gamma, n), its ``structural_rank`` and its
+    ``key_derivation`` once computed."""
 
     gamma: MultiIndex
     n: tuple
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
     _rank: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _derivation: DOp | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -86,10 +88,11 @@ class Tilt:
 @dataclass(frozen=True, slots=True)
 class Shift:
     """Basis key 1 * partial_i (no decoration by construction); stores its
-    hash like ``Tilt``."""
+    hash and its ``key_derivation`` like ``Tilt``."""
 
     i: int
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _derivation: Partial | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -105,9 +108,17 @@ LBasisKey = Union[Tilt, Shift]
 
 
 def key_derivation(key: LBasisKey) -> Derivation:
-    if isinstance(key, Shift):
-        return Partial(key.i)
-    return DOp(key.n)
+    """The derivation factor D of key = a (x) D, built once per key."""
+    D = key._derivation
+    if D is None:
+        D = Partial(key.i) if isinstance(key, Shift) else DOp(key.n)
+        object.__setattr__(key, "_derivation", D)
+    return D
+
+
+def _decoration(key: LBasisKey) -> MultiIndex:
+    """The exponent of the decoration factor a of key = a (x) D."""
+    return MultiIndex.zero() if isinstance(key, Shift) else key.gamma
 
 
 def key_poly(key: LBasisKey) -> Polynomial:
@@ -151,23 +162,24 @@ def check_key_dim(key: LBasisKey, d: int) -> None:
     if isinstance(key, Shift):
         if key.i > d:
             raise DimensionMismatch(f"direction {key.i} out of range for dimension {d}")
-    else:
-        if len(key.n) != d:
-            raise DimensionMismatch(f"key over dimension {len(key.n)}, expected {d}")
-        gd = key.gamma.dim()
-        if gd is not None and gd != d:
-            raise DimensionMismatch(f"decoration over dimension {gd}, expected {d}")
+    elif len(key.n) != d:
+        # a Tilt's decoration has the dimension of n or none (__post_init__)
+        raise DimensionMismatch(f"key over dimension {len(key.n)}, expected {d}")
 
 
 def _norm_l_terms(pairs) -> tuple:
     acc: dict = {}
     for k, c in pairs:
-        c = Fraction(c)
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 0:
             continue
-        acc[k] = acc.get(k, Fraction(0)) + c
-        if acc[k] == 0:
-            del acc[k]
+        if k in acc:
+            acc[k] += c
+            if acc[k] == 0:
+                del acc[k]
+        else:
+            acc[k] = c
     return tuple(sorted(acc.items(), key=lambda kc: structural_rank(kc[0])))
 
 
@@ -238,51 +250,48 @@ def in_L(x: LElement, cfg: Config) -> bool:
 # -- products ----------------------------------------------------------------
 
 
-def _assemble(poly: Polynomial, combo_terms) -> list:
-    """Tensor a polynomial factor with derivation-combo terms (all DOp)."""
-    out = []
-    for D, c in combo_terms:
-        for g, cp in poly.terms:
-            out.append((Tilt(g, D.n), c * cp))
-    return out
-
-
 def _tri_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
     if isinstance(ky, Shift):
         return []  # every derivation kills the unit decoration
-    p = apply_derivation(key_derivation(kx), Polynomial.monomial(ky.gamma), cfg)
-    if isinstance(kx, Tilt) and not kx.gamma.is_zero:
-        p = Polynomial.monomial(kx.gamma) * p
-    return [(Tilt(g, ky.n), c) for g, c in p.terms]
+    gx = _decoration(kx)
+    acted = apply_to_monomial(key_derivation(kx), ky.gamma, cfg)
+    return [(Tilt(gx + g, ky.n), c) for g, c in acted]
 
 
-def _gamma_product(kx: LBasisKey, ky: LBasisKey) -> Polynomial:
-    return key_poly(kx) * key_poly(ky)
+def _tensor_decoration(kx: LBasisKey, ky: LBasisKey, combo) -> list:
+    """a1 * a2 (x) combo for x = a1 (x) D1, y = a2 (x) D2; every term of a
+    product of two basis derivations is a DOp."""
+    if combo.is_zero:
+        return []
+    g = _decoration(kx) + _decoration(ky)
+    return [(Tilt(g, D.n), c) for D, c in combo.terms]
 
 
 def _bracket_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
-    combo = compose_commutator(key_derivation(kx), key_derivation(ky))
-    if combo.is_zero:
-        return []
-    return _assemble(_gamma_product(kx, ky), combo.terms)
+    return _tensor_decoration(kx, ky, compose_commutator(key_derivation(kx), key_derivation(ky)))
 
 
 def _diamond_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
-    combo = derivation_diamond(key_derivation(kx), key_derivation(ky))
-    if combo.is_zero:
-        return []
-    return _assemble(_gamma_product(kx, ky), combo.terms)
+    return _tensor_decoration(kx, ky, derivation_diamond(key_derivation(kx), key_derivation(ky)))
 
 
 def _bilinear(kernel) -> "BilinearOp":
     def op(x: LElement, y: LElement, cfg: Config) -> LElement:
+        if not x.terms:
+            return _L_ZERO
+        # every key once, in the order a check per pair would meet them
+        check_key_dim(x.terms[0][0], cfg.d)
+        for ky, _ in y.terms:
+            check_key_dim(ky, cfg.d)
+        for kx, _ in x.terms[1:]:
+            check_key_dim(kx, cfg.d)
         terms = []
         for kx, cx in x.terms:
-            check_key_dim(kx, cfg.d)
             for ky, cy in y.terms:
-                check_key_dim(ky, cfg.d)
-                for kz, cz in kernel(kx, ky, cfg):
-                    terms.append((kz, cx * cy * cz))
+                out = kernel(kx, ky, cfg)
+                if out:
+                    cxy = cx * cy
+                    terms.extend((kz, cxy * cz) for kz, cz in out)
         return LElement.from_terms(terms)
 
     return op

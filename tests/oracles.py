@@ -7,9 +7,10 @@ these scans are what that bookkeeping is checked against, so they must not
 share its shortcuts.
 
 The only library pieces reused here are the value types (MultiIndex, words,
-polynomials), the single-letter and single-derivation actions, and the
-pointwise evaluator star_word, which the relevant checks treat as ground
-truth for single candidates.  Words act on polynomials through
+polynomials, combinations of basis keys), the single-letter and
+single-derivation actions, the closed-form products of two basis derivations,
+and the pointwise evaluator star_word, which the relevant checks treat as
+ground truth for single candidates.  Words act on polynomials through
 ``brute_rho_bar_word`` below, which recomputes every branch of the psi
 recursion, folds every sum with + and multiplies the decorations of a word
 letter by letter, so it shares no memo and no merge with the library.
@@ -21,11 +22,16 @@ from fractions import Fraction
 from itertools import product
 
 from postliemi.derivations import (
+    DOp,
+    DerivationCombo,
+    Partial,
     apply as apply_derivation,
     apply_to_monomial,
+    compose_commutator,
     derivation_rank,
     diamond as derivation_diamond,
 )
+from postliemi.errors import DimensionMismatch
 from postliemi.multiindex import (
     Config,
     HomDegree,
@@ -35,7 +41,7 @@ from postliemi.multiindex import (
     n_norm,
 )
 from postliemi.polyalg import Polynomial
-from postliemi.postlie import Shift, Tilt, key_derivation, key_poly, pbw_rank
+from postliemi.postlie import LElement, Shift, Tilt, key_derivation, key_poly, pbw_rank
 from postliemi.enveloping import STRUCT_BTR, sigma, star_word, sym_word
 
 
@@ -79,6 +85,104 @@ def brute_slice(val: Fraction, cfg: Config, max_k: int = -1) -> set:
 
 def brute_slice_hom(bound: HomDegree, cfg: Config) -> set:
     return brute_slice(bound.value(cfg), cfg)
+
+
+# -- products by the factorized rules -----------------------------------------
+#
+# For x = a1 (x) D1 and y = a2 (x) D2:
+#   x > y  = a1 * D1(a2) (x) D2   (zero when y is a Shift)
+#   [x, y] = a1 * a2 (x) [D1, D2]
+#   x <> y = a1 * a2 (x) (D1 <> D2)
+# Each key is split into a decoration polynomial and a freshly built
+# derivation, the factors are multiplied as polynomials, and every sum is
+# folded with +.
+
+
+def _factors(key):
+    """The pair (a, D) with key = a (x) D."""
+    if isinstance(key, Shift):
+        return Polynomial.one(), Partial(key.i)
+    return Polynomial.monomial(key.gamma), DOp(key.n)
+
+
+def _check_dim(key, d: int) -> None:
+    if isinstance(key, Shift):
+        if key.i > d:
+            raise DimensionMismatch(f"direction {key.i} out of range for dimension {d}")
+        return
+    gd = key.gamma.dim()
+    if len(key.n) != d or (gd is not None and gd != d):
+        raise DimensionMismatch(f"key over dimension {len(key.n)}, expected {d}")
+
+
+def _tensor(poly: Polynomial, combo) -> LElement:
+    out = LElement.zero()
+    for D, c in combo.terms:
+        assert isinstance(D, DOp), "a product of basis keys gave a decorated shift"
+        for g, cp in poly.terms:
+            out = out + LElement.single(Tilt(g, D.n), c * cp)
+    return out
+
+
+def _brute_tri_key(kx, ky, cfg: Config) -> LElement:
+    if isinstance(ky, Shift):
+        return LElement.zero()
+    a1, D1 = _factors(kx)
+    a2, D2 = _factors(ky)
+    return _tensor(a1 * apply_derivation(D1, a2, cfg), DerivationCombo.single(D2))
+
+
+def _brute_bracket_key(kx, ky, cfg: Config) -> LElement:
+    a1, D1 = _factors(kx)
+    a2, D2 = _factors(ky)
+    return _tensor(a1 * a2, compose_commutator(D1, D2))
+
+
+def _brute_diamond_key(kx, ky, cfg: Config) -> LElement:
+    a1, D1 = _factors(kx)
+    a2, D2 = _factors(ky)
+    return _tensor(a1 * a2, derivation_diamond(D1, D2))
+
+
+def _brute_bilinear(key_op, x: LElement, y: LElement, cfg: Config) -> LElement:
+    """Extend a product of basis keys bilinearly.  Every key of both operands
+    is checked against the dimension when x is nonzero; a zero x gives zero
+    whatever y holds."""
+    out = LElement.zero()
+    if x.is_zero:
+        return out
+    for k, _ in x.terms + y.terms:
+        _check_dim(k, cfg.d)
+    for kx, cx in x.terms:
+        for ky, cy in y.terms:
+            out = out + key_op(kx, ky, cfg).scale(cx * cy)
+    return out
+
+
+def brute_triangleright(x: LElement, y: LElement, cfg: Config) -> LElement:
+    return _brute_bilinear(_brute_tri_key, x, y, cfg)
+
+
+def brute_bracket(x: LElement, y: LElement, cfg: Config) -> LElement:
+    return _brute_bilinear(_brute_bracket_key, x, y, cfg)
+
+
+def brute_diamond(x: LElement, y: LElement, cfg: Config) -> LElement:
+    return _brute_bilinear(_brute_diamond_key, x, y, cfg)
+
+
+def brute_btr(x: LElement, y: LElement, cfg: Config) -> LElement:
+    return brute_triangleright(x, y, cfg) + brute_diamond(x, y, cfg)
+
+
+def brute_bbracket(x: LElement, y: LElement, cfg: Config) -> LElement:
+    return brute_bracket(x, y, cfg) - (brute_diamond(x, y, cfg) - brute_diamond(y, x, cfg))
+
+
+def brute_grand_bracket(x: LElement, y: LElement, cfg: Config) -> LElement:
+    return (brute_triangleright(x, y, cfg) - brute_triangleright(y, x, cfg)) + brute_bracket(
+        x, y, cfg
+    )
 
 
 # -- action of a word by the defining recursion ------------------------------

@@ -117,6 +117,29 @@ def test_dual_coproduct_refuses_tight_truncation(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("flag", ["--max-word-len", "--max-letter-degree"])
+def test_dual_coproduct_accepts_a_zero_bound_on_the_unit_word(capsys, flag):
+    rc, out, _ = run(capsys, ["dual-coproduct", "1", flag, "0"])
+    assert rc == 0
+    assert out == "1 1 (x) 1\n"
+
+
+def test_dual_coproduct_bound_too_tight_for_the_word_is_the_library_refusal(capsys):
+    rc, out, err = run(capsys, ["dual-coproduct", "[P1]", "--max-word-len", "0"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: word length bound 0 is below the required 1\n"
+
+
+def test_dual_coproduct_accepts_a_covering_bound(capsys):
+    argv = ["dual-coproduct", "[z{k0:1}xD(0,0)]", "--alpha", "1/2"]
+    rc, exact, _ = run(capsys, argv)
+    assert rc == 0
+    rc, out, _ = run(capsys, argv + ["--max-word-len", "1", "--max-letter-degree", "1"])
+    assert rc == 0
+    assert out == exact
+
+
 def test_gamma_table(capsys, tmp_path):
     char = tmp_path / "boundary.chr"
     char.write_text("z{k0:2}xD(1,0) = 1/2\nz{k0:2}xD(0,1) = -2\n")
@@ -229,6 +252,11 @@ def test_check_coords_json_keeps_residual_order(capsys, tmp_path):
         (["gamma", "--char", "TABLE", "--cutoff", "-1"], "--cutoff must be at least 0, got -1"),
         (["eval", "diamond([P1],[P2])", "--d", "0"], "--d must be at least 1, got 0"),
         (["dual-coproduct", "[P1]", "--d", "-3"], "--d must be at least 1, got -3"),
+        (["dual-coproduct", "[P1]", "--max-word-len", "-1"], "--max-word-len must be at least 0, got -1"),
+        (
+            ["dual-coproduct", "[P1]", "--max-letter-degree=-1/2"],
+            "--max-letter-degree must be at least 0, got -1/2",
+        ),
     ],
 )
 def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, message):

@@ -345,6 +345,49 @@ def test_dual_coproduct_matches_the_exhaustive_table_where_degrees_tie():
         assert got == expect
 
 
+@pytest.mark.parametrize("alpha,count", [(Fraction(1, 2), 22), (Fraction(3, 4), 9)])
+def test_dual_coproduct_matches_the_exhaustive_table_at_d3(alpha, count):
+    cfg = Config(3, alpha)
+    table = brute_dual_table(brute_letters(Fraction(1), cfg), Fraction(1), cfg)
+    assert len(table) == count
+    for target, expect in table.items():
+        got = {pair: c for pair, c in dual_coproduct(target, cfg).terms}
+        assert got == expect
+
+
+def _t3(gdict, n):
+    return Tilt(MultiIndex.from_dict(gdict), n)
+
+
+Z0D000 = _t3({0: 1}, (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "alpha,max_gamma,letters",
+    [
+        # decorations up to 3/2 on one and two letters, direction keys of d=3
+        (Fraction(3, 4), Fraction(3, 2), (_t3({0: 2}, (1, 0, 0)),)),
+        (Fraction(3, 4), Fraction(3, 2), (Z0D000, Shift(3))),
+        (Fraction(3, 4), Fraction(3, 2), (_t3({0: 2}, (0, 0, 1)), Z0D000)),
+        (Fraction(3, 4), Fraction(3, 2), (_t3({(0, 1, 0): 1}, (0, 0, 0)), Shift(1))),
+        (Fraction(3, 4), Fraction(3, 2), (_t3({(0, 0, 1): 1}, (0, 0, 0)), _t3({1: 1}, (0, 0, 0)))),
+        (Fraction(1, 2), Fraction(1), (Z0D000, Shift(3))),
+        (Fraction(1, 2), Fraction(1), (_t3({0: 1, 1: 1}, (0, 0, 0)), Z0D000)),
+        (Fraction(1, 2), Fraction(1), (_t3({(0, 1, 0): 1}, (0, 0, 0)), Shift(1))),
+        (Fraction(1, 2), Fraction(1), (_t3({(0, 0, 1): 1}, (0, 0, 0)), _t3({1: 1}, (0, 0, 0)))),
+        (Fraction(1, 2), Fraction(3, 2), (_t3({0: 1, (0, 0, 1): 1}, (1, 0, 0)),)),
+    ],
+)
+def test_dual_coproduct_matches_the_pair_scan_at_d3(alpha, max_gamma, letters):
+    cfg = Config(3, alpha)
+    target = sym_word(list(letters))
+    expect = brute_dual_coproduct(target, brute_letters(max_gamma, cfg), cfg)
+    got = {pair: c for pair, c in dual_coproduct(target, cfg).terms}
+    assert got == expect
+    if len(letters) > 1:
+        assert len(got) > 2  # more than the primitive part 1 (x) w + w (x) 1
+
+
 # -- text form ---------------------------------------------------------------
 
 

@@ -82,6 +82,65 @@ def test_sum_of_refuses_mixed_dimensions():
         MultiIndex.sum_of([e((1, 0)), e(0), e((0, 0, 1))])
 
 
+def _same_index(got, expect):
+    assert got == expect
+    assert hash(got) == hash(expect)
+    assert got.entries == expect.entries
+    assert repr(got) == repr(expect)
+    back = pickle.loads(pickle.dumps(got))
+    assert back == expect and hash(back) == hash(expect) and back.entries == expect.entries
+
+
+@given(multiindices, multiindices)
+def test_arithmetic_results_are_the_validated_indices(g1, g2):
+    # + and sub skip re-validation; their results must be indistinguishable
+    # from the index from_dict builds out of the pointwise sum or difference
+    total = g1.as_dict()
+    for k, m in g2.entries:
+        total[k] = total.get(k, 0) + m
+    _same_index(g1 + g2, MultiIndex.from_dict(total))
+    _same_index(MultiIndex.sum_of([g1, g2]), MultiIndex.from_dict(total))
+    diff = dict(total)
+    for k, m in g2.entries:
+        diff[k] -= m
+    _same_index((g1 + g2).sub(g2), MultiIndex.from_dict(diff))
+    _same_index((g1 + g2).sub(g1 + g2), MultiIndex.zero())
+
+
+@given(multiindices)
+def test_arithmetic_results_are_canonical(g):
+    # the constructor re-checks order, keys and multiplicities
+    for h in (g + e(0), g + e((2, 0)), (g + e(1)).sub(e(1))):
+        assert MultiIndex(h.entries) == h
+
+
+def test_sub_below_zero_still_raises():
+    with pytest.raises(ValueError):
+        e(0).sub(e(0, 2))
+    with pytest.raises(ValueError):
+        e((1, 0)).sub(e(1))
+    assert e(0).try_sub(e(1)) is None
+
+
+@pytest.mark.parametrize(
+    "g1,g2",
+    [
+        (e((1, 0)), e((0, 0, 1))),
+        (e(0) + e((1, 0)), e((0, 0, 1), 2)),
+        (e((1, 1)), e(3) + e((1, 1, 1))),
+    ],
+)
+def test_mixed_dimensions_still_raise(g1, g2):
+    with pytest.raises(DimensionMismatch):
+        g1 + g2
+    with pytest.raises(DimensionMismatch):
+        g2 + g1
+    with pytest.raises(DimensionMismatch):
+        g1.sub(g2)
+    with pytest.raises(DimensionMismatch):
+        MultiIndex.sum_of([g1, g2])
+
+
 def test_homogeneity_counts_both_families():
     g = e(0, 2) + e(5) + e((2, 1))
     assert homogeneity(g) == HomDegree(3, 3)

@@ -1,14 +1,17 @@
 """The decorated-derivation space: its two products, the connection, the
 deformed product, and the generic torsion/curvature calculus."""
 
+import copy
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postliemi.derivations import DOp, Partial
+from postliemi.errors import DimensionMismatch
 from postliemi.multiindex import Config, MultiIndex, n_norm, print_multiindex
 from postliemi.postlie import (
     LElement,
@@ -16,6 +19,7 @@ from postliemi.postlie import (
     Tilt,
     adjoint_pair,
     associator,
+    bbracket,
     bianchi_residual,
     bracket,
     btr,
@@ -28,6 +32,7 @@ from postliemi.postlie import (
     grand_bracket,
     in_L,
     in_L0,
+    key_derivation,
     parse_l_element,
     parse_l_key,
     print_l_element,
@@ -36,6 +41,15 @@ from postliemi.postlie import (
     torsion,
     triangleright,
     zero_op,
+)
+
+from oracles import (
+    brute_bbracket,
+    brute_bracket,
+    brute_btr,
+    brute_diamond,
+    brute_grand_bracket,
+    brute_triangleright,
 )
 
 CFG = Config(2, Fraction(1, 2))
@@ -119,6 +133,100 @@ def test_grand_bracket_examples():
     assert grand_bracket(P1, Z0D0, CFG) == tilt({1: 1, (1, 0): 1}, (0, 0))
     x = tilt({0: 1}, (1, 1)) + P1.scale(2)
     assert grand_bracket(x, x, CFG).is_zero
+
+
+# -- agreement with the factorized rules -------------------------------------
+
+ORACLE_CFGS = [Config(d, a) for d in (2, 3) for a in (Fraction(1, 2), Fraction(3, 4))]
+ORACLE_PAIRS = [
+    (triangleright, brute_triangleright),
+    (bracket, brute_bracket),
+    (diamond, brute_diamond),
+    (btr, brute_btr),
+    (bbracket, brute_bbracket),
+    (grand_bracket, brute_grand_bracket),
+]
+
+
+def l_keys(d):
+    """Shifts, undecorated tilts (zero n included) and tilts decorated with
+    counting and direction keys, all over dimension d."""
+    ns = st.tuples(*[st.integers(0, 2)] * d)
+    unit_dirs = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    decorations = st.dictionaries(
+        st.one_of(st.integers(0, 3), st.sampled_from(unit_dirs + [(1,) * d, (2,) + (0,) * (d - 1)])),
+        st.integers(1, 2),
+        max_size=3,
+    ).map(MultiIndex.from_dict)
+    return st.one_of(
+        st.integers(1, d).map(Shift),
+        ns.map(lambda n: Tilt(MultiIndex.zero(), n)),
+        st.builds(Tilt, decorations, ns),
+    )
+
+
+def l_elements(d, min_size=1):
+    coeffs = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(3)])
+    return st.lists(st.tuples(l_keys(d), coeffs), min_size=min_size, max_size=3).map(
+        LElement.from_terms
+    )
+
+
+def wrong_dim_keys(d):
+    """Keys over dimension d + 1, which every product at dimension d refuses."""
+    return st.sampled_from(
+        [
+            Shift(d + 1),
+            Tilt(MultiIndex.zero(), (0,) * (d + 1)),
+            Tilt(MultiIndex.single((1,) + (0,) * d), (1,) + (0,) * d),
+        ]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_products_match_the_factorized_rules(data):
+    cfg = data.draw(st.sampled_from(ORACLE_CFGS))
+    x = data.draw(l_elements(cfg.d, min_size=0))
+    y = data.draw(l_elements(cfg.d, min_size=0))
+    for op, oracle in ORACLE_PAIRS:
+        assert op(x, y, cfg) == oracle(x, y, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_nested_products_match_the_factorized_rules(data):
+    # products of products carry decorations of several factors
+    cfg = data.draw(st.sampled_from(ORACLE_CFGS))
+    x, y, z = (data.draw(l_elements(cfg.d)) for _ in range(3))
+    for op, oracle in ORACLE_PAIRS[:3]:
+        assert op(btr(x, y, cfg), z, cfg) == oracle(brute_btr(x, y, cfg), z, cfg)
+        assert op(x, bracket(y, z, cfg), cfg) == oracle(x, brute_bracket(y, z, cfg), cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_products_refuse_a_key_of_the_wrong_dimension(data):
+    cfg = data.draw(st.sampled_from(ORACLE_CFGS))
+    x = data.draw(l_elements(cfg.d))
+    y = data.draw(l_elements(cfg.d, min_size=0))
+    bad = LElement.single(data.draw(wrong_dim_keys(cfg.d)))
+    x, y = data.draw(st.sampled_from([(x + bad, y), (x, y + bad), (bad, y)]))
+    for op, oracle in ORACLE_PAIRS:
+        with pytest.raises(DimensionMismatch):
+            op(x, y, cfg)
+        with pytest.raises(DimensionMismatch):
+            oracle(x, y, cfg)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_zero_left_operand_gives_zero_whatever_the_right_holds(data):
+    cfg = data.draw(st.sampled_from(ORACLE_CFGS))
+    y = data.draw(l_elements(cfg.d)) + LElement.single(data.draw(wrong_dim_keys(cfg.d)))
+    for op, oracle in ORACLE_PAIRS[:3]:
+        assert op(LElement.zero(), y, cfg).is_zero
+        assert oracle(LElement.zero(), y, cfg).is_zero
 
 
 # -- torsion, curvature, Bianchi ---------------------------------------------
@@ -240,6 +348,20 @@ def test_equal_keys_from_different_routes_hash_equal(g, h, n, i):
     assert parse_l_key(f"P{i}") == Shift(i)
     assert hash(parse_l_key(f"P{i}")) == hash(Shift(i))
     assert Shift(i) != Tilt(MultiIndex.zero(), (0, 0))
+
+
+@given(gammas, dirs, st.integers(1, 4))
+def test_keys_with_their_derivation_stored_pickle_copy_and_compare(g, n, i):
+    for key, fresh in ((Tilt(g, n), Tilt(g, n)), (Shift(i), Shift(i))):
+        D = key_derivation(key)
+        assert D == (Partial(i) if isinstance(key, Shift) else DOp(n))
+        assert key_derivation(key) == D
+        assert key_derivation(key) is D  # built once, then read back
+        for other in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
+            assert other == key == fresh
+            assert hash(other) == hash(key) == hash(fresh)
+            assert key_derivation(other) == D
+        assert repr(key) == repr(fresh)
 
 
 def test_keys_stay_immutable():
