@@ -153,8 +153,9 @@ def l_keys(d):
     counting and direction keys, all over dimension d."""
     ns = st.tuples(*[st.integers(0, 2)] * d)
     unit_dirs = [tuple(int(j == i) for j in range(d)) for i in range(d)]
+    direction_keys = unit_dirs + [(1,) * d, (2,) + (0,) * (d - 1)]
     decorations = st.dictionaries(
-        st.one_of(st.integers(0, 3), st.sampled_from(unit_dirs + [(1,) * d, (2,) + (0,) * (d - 1)])),
+        st.one_of(st.integers(0, 3), st.sampled_from(direction_keys)),
         st.integers(1, 2),
         max_size=3,
     ).map(MultiIndex.from_dict)
