@@ -130,7 +130,8 @@ class SymElement:
 
     @staticmethod
     def single(w: SymWord, c=1) -> "SymElement":
-        return SymElement(_norm_sym_terms([(w, c)]))
+        c = Fraction(c)
+        return SymElement(((w, c),)) if c else _SE_ZERO
 
     @staticmethod
     def from_terms(pairs) -> "SymElement":
@@ -243,7 +244,8 @@ def _word_splits(w: SymWord):
 
     def rec(i: int, left: list, right: list, coeff: int):
         if i == len(mults):
-            yield sym_word(left), sym_word(right), coeff
+            # the letters arrive in canonical order, so both halves are sorted
+            yield tuple(left), tuple(right), coeff
             return
         x, m = mults[i]
         for l in range(m + 1):
@@ -306,6 +308,19 @@ def _first_inversion(seq: tuple, ranks: list, strategy: str) -> int | None:
     return None
 
 
+def _add_into(acc: dict, key, c) -> None:
+    """acc[key] += c in place, dropping the entry when it cancels to zero."""
+    old = acc.get(key)
+    if old is None:
+        acc[key] = c
+    else:
+        c += old
+        if c:
+            acc[key] = c
+        else:
+            del acc[key]
+
+
 def pbw_normal_form(
     seq: Sequence[LBasisKey], lie, cfg: Config, strategy: str = "leftmost"
 ) -> SymElement:
@@ -316,28 +331,39 @@ def pbw_normal_form(
     Terminates because each swap reduces the inversion count and each bracket
     term is strictly shorter.  The two strategies must agree; the test suite
     checks that.
+
+    Each letter is ranked once per call, by the integer key ``pbw_rank``, and
+    each inverted pair is bracketed once per call; both tables are local to
+    the call and freed on return.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    ranks: dict = {}  # letter -> pbw_rank
+    brackets: dict = {}  # inverted pair (x, y) -> terms of lie(x, y)
     pending: dict = {tuple(seq): Fraction(1)}
     done: dict = {}
     while pending:
         word, coeff = pending.popitem()
-        ranks = [pbw_rank(x, cfg) for x in word]
-        i = _first_inversion(word, ranks, strategy)
+        word_ranks = []
+        for x in word:
+            r = ranks.get(x)
+            if r is None:
+                r = ranks[x] = pbw_rank(x, cfg)
+            word_ranks.append(r)
+        i = _first_inversion(word, word_ranks, strategy)
         if i is None:
             # finished sequences are recorded as canonical words: the sorted
             # sequence determines its multiset and conversely
-            key = sym_word(word)
-            done[key] = done.get(key, Fraction(0)) + coeff
+            _add_into(done, sym_word(word), coeff)
             continue
         x, y = word[i], word[i + 1]
-        swapped = word[:i] + (y, x) + word[i + 2 :]
-        pending[swapped] = pending.get(swapped, Fraction(0)) + coeff
-        for k, c in lie(LElement.single(x), LElement.single(y), cfg).terms:
-            shorter = word[:i] + (k,) + word[i + 2 :]
-            pending[shorter] = pending.get(shorter, Fraction(0)) + coeff * c
-        pending = {w: c for w, c in pending.items() if c != 0}
+        head, tail = word[:i], word[i + 2 :]
+        _add_into(pending, head + (y, x) + tail, coeff)
+        terms = brackets.get((x, y))
+        if terms is None:
+            terms = brackets[(x, y)] = lie(LElement.single(x), LElement.single(y), cfg).terms
+        for k, c in terms:
+            _add_into(pending, head + (k,) + tail, coeff * c)
     return SymElement.from_terms(done.items())
 
 

@@ -66,11 +66,16 @@ class Config:
     """Ambient dimension and the exact degree step.
 
     alpha is normalized to lowest terms by Fraction; must lie strictly
-    between 0 and 1.
+    between 0 and 1.  Stores its hash, that of (d, alpha): configs key the
+    memo tables, and hashing a Fraction is not cheap.
     """
 
     d: int
     alpha: Fraction
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -78,6 +83,7 @@ class Config:
             raise ValueError(f"dimension must be a positive int, got {self.d!r}")
         if not (0 < self.alpha < 1):
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
+        object.__setattr__(self, "_hash", hash((self.d, self.alpha)))
 
 
 @dataclass(frozen=True)

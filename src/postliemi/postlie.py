@@ -59,13 +59,14 @@ from .polyalg import Polynomial
 @dataclass(frozen=True, slots=True)
 class Tilt:
     """Basis key z^gamma * D^(n); n is a d-tuple, zero allowed.  Stores its
-    hash, that of (gamma, n), its ``structural_rank`` and its
-    ``key_derivation`` once computed."""
+    hash, that of (gamma, n), its ``structural_rank``, the degree pair of
+    gamma that ``pbw_rank`` reads and its ``key_derivation`` once computed."""
 
     gamma: MultiIndex
     n: tuple
     _hash: int | None = field(default=None, init=False, repr=False, compare=False)
     _rank: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hom: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _derivation: DOp | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
@@ -146,10 +147,22 @@ def structural_rank(key: LBasisKey):
 
 def pbw_rank(key: LBasisKey, cfg: Config):
     """The fixed total order on basis keys: shifts by direction first, then
-    tilts by (gamma degree as exact rational, gamma, |n|, n)."""
+    tilts by (gamma degree, gamma, |n|, n).
+
+    The degree a*alpha + b of gamma enters as the integer a*p + b*q, where
+    alpha = p/q: scaling by q > 0 keeps the order of the exact rationals, so
+    the key holds no Fraction and sorts exactly as the degree does.  The pair
+    (a, b) does not depend on the config and is stored on the key.
+    """
     if isinstance(key, Shift):
         return (0, key.i)
-    return (1, hom_value(key.gamma, cfg), key.gamma.sort_rank(), n_norm(key.n), key.n)
+    hom = key._hom
+    if hom is None:
+        h = homogeneity(key.gamma)
+        hom = (h.a, h.b)
+        object.__setattr__(key, "_hom", hom)
+    alpha = cfg.alpha
+    return (1, hom[0] * alpha.numerator + hom[1] * alpha.denominator) + structural_rank(key)[2:]
 
 
 def key_in_L(key: LBasisKey, cfg: Config) -> bool:
@@ -195,7 +208,8 @@ class LElement:
 
     @staticmethod
     def single(key: LBasisKey, c=1) -> "LElement":
-        return LElement(_norm_l_terms([(key, c)]))
+        c = Fraction(c)
+        return LElement(((key, c),)) if c else _L_ZERO
 
     @staticmethod
     def from_terms(pairs) -> "LElement":

@@ -19,7 +19,7 @@ letter by letter, so it shares no memo and no merge with the library.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from postliemi.derivations import (
     DOp,
@@ -41,8 +41,8 @@ from postliemi.multiindex import (
     n_norm,
 )
 from postliemi.polyalg import Polynomial
-from postliemi.postlie import LElement, Shift, Tilt, key_derivation, key_poly, pbw_rank
-from postliemi.enveloping import STRUCT_BTR, sigma, star_word, sym_word
+from postliemi.postlie import LElement, Shift, Tilt, key_derivation, key_poly
+from postliemi.enveloping import STRUCT_BTR, SymElement, sigma, star_word, sym_word
 
 
 def direction_tuples(d: int, max_norm: int, include_zero: bool = False) -> list:
@@ -226,9 +226,59 @@ def brute_rho_bar_word(struct, w, p: Polynomial, cfg: Config) -> Polynomial:
         acted = brute_psi_apply(ds, p, cfg)
     else:
         acted = p
-        for k in reversed(sorted(w, key=lambda k: pbw_rank(k, cfg))):
+        for k in reversed(sorted(w, key=lambda k: brute_pbw_rank(k, cfg))):
             acted = apply_derivation(key_derivation(k), acted, cfg)
     return front * acted
+
+
+# -- PBW straightening and word splittings, written out literally -----------
+
+
+def brute_pbw_rank(key, cfg: Config) -> tuple:
+    """The PBW order on letters with the decoration degree as an exact
+    rational: shifts by direction, then tilts by (|gamma|, gamma, |n|, n)."""
+    if isinstance(key, Shift):
+        return (0, key.i)
+    return (1, hom_value(key.gamma, cfg), key.gamma.sort_rank(), n_norm(key.n), key.n)
+
+
+def brute_pbw_normal_form(seq, lie, cfg: Config, strategy: str = "leftmost") -> SymElement:
+    """Rewrite x y -> y x + lie(x, y) on the leftmost (or rightmost) adjacent
+    inversion until every sequence is nondecreasing.  Every rank is recomputed
+    as an exact Fraction at every step, and the pending sequences are rebuilt
+    without their zero entries after each step."""
+    pending = {tuple(seq): Fraction(1)}
+    done: dict = {}
+    while pending:
+        word, coeff = pending.popitem()
+        ranks = [brute_pbw_rank(x, cfg) for x in word]
+        inversions = [i for i in range(len(word) - 1) if ranks[i] > ranks[i + 1]]
+        if not inversions:
+            key = sym_word(word)
+            done[key] = done.get(key, Fraction(0)) + coeff
+            continue
+        i = inversions[0] if strategy == "leftmost" else inversions[-1]
+        x, y = word[i], word[i + 1]
+        swapped = word[:i] + (y, x) + word[i + 2 :]
+        pending[swapped] = pending.get(swapped, Fraction(0)) + coeff
+        for k, c in lie(LElement.single(x), LElement.single(y), cfg).terms:
+            shorter = word[:i] + (k,) + word[i + 2 :]
+            pending[shorter] = pending.get(shorter, Fraction(0)) + coeff * c
+        pending = {w: c for w, c in pending.items() if c != 0}
+    return SymElement.from_terms(done.items())
+
+
+def brute_word_splits(w) -> dict:
+    """{(left, right): count} over every subset of the positions of w taken
+    as the left half, the rest as the right half."""
+    counts: dict = {}
+    positions = range(len(w))
+    for size in range(len(w) + 1):
+        for chosen in combinations(positions, size):
+            left = sym_word(w[i] for i in chosen)
+            right = sym_word(w[i] for i in positions if i not in chosen)
+            counts[(left, right)] = counts.get((left, right), 0) + 1
+    return counts
 
 
 # -- alphabet and word enumeration -------------------------------------------

@@ -4,7 +4,7 @@ pairing, and the dual coproduct."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postliemi.errors import TruncationRefused
@@ -12,8 +12,10 @@ from postliemi.multiindex import Config, MultiIndex
 from postliemi.postlie import (
     Shift,
     Tilt,
+    basis_pool,
     bracket,
     btr,
+    pbw_rank,
     structural_rank,
     triangleright,
     zero_op,
@@ -24,6 +26,7 @@ from postliemi.enveloping import (
     SymElement,
     TensorElement,
     TruncationParams,
+    _word_splits,
     coshuffle,
     counit,
     dual_coproduct,
@@ -42,7 +45,14 @@ from postliemi.enveloping import (
     tmap,
 )
 
-from oracles import brute_dual_coproduct, brute_dual_table, brute_letters
+from oracles import (
+    brute_dual_coproduct,
+    brute_dual_table,
+    brute_letters,
+    brute_pbw_normal_form,
+    brute_pbw_rank,
+    brute_word_splits,
+)
 
 CFG = Config(2, Fraction(1, 2))
 CFG34 = Config(2, Fraction(3, 4))
@@ -94,6 +104,11 @@ def test_one_merge_sum_equals_the_fold(parts):
     assert ranks == sorted(set(ranks))
     assert all(isinstance(c, Fraction) and c != 0 for _, c in got.terms)
     assert SymElement.sum_of(parts + [(x, -c) for x, c in parts]).is_zero
+
+
+@given(words, scaled)
+def test_single_is_the_one_term_combination(word, c):
+    assert SymElement.single(word, c) == SymElement.from_terms([(word, c)])
 
 
 @given(st.lists(st.tuples(tensor_elements, scaled), max_size=5))
@@ -251,6 +266,49 @@ def test_rewrite_strategies_agree():
         left = pbw_normal_form(seq, bracket, CFG, strategy="leftmost")
         right = pbw_normal_form(seq, bracket, CFG, strategy="rightmost")
         assert left == right
+
+
+PBW_CFGS = [Config(d, alpha) for d in (2, 3) for alpha in (Fraction(1, 2), Fraction(3, 4))]
+PBW_POOLS = {cfg: basis_pool(cfg) for cfg in PBW_CFGS}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_normal_form_matches_the_literal_rewrite(data):
+    cfg = data.draw(st.sampled_from(PBW_CFGS))
+    pool = PBW_POOLS[cfg]
+    # only a tilt before a shift brackets to nonzero, and the pool holds d
+    # shifts among hundreds of tilts, so shifts get drawn half the time
+    letters = st.one_of(st.sampled_from(pool[: cfg.d]), st.sampled_from(pool))
+    seq = data.draw(st.lists(letters, max_size=5))
+    lie = data.draw(st.sampled_from([bracket, zero_op]))
+    strategy = data.draw(st.sampled_from(["leftmost", "rightmost"]))
+    got = pbw_normal_form(seq, lie, cfg, strategy=strategy)
+    assert got == brute_pbw_normal_form(seq, lie, cfg, strategy=strategy)
+
+
+@pytest.mark.parametrize("cfg", PBW_CFGS)
+def test_integer_pbw_rank_sorts_like_the_exact_degree(cfg):
+    pool = basis_pool(cfg, gamma_limit=Fraction(2), max_norm=2)
+    backwards = pool[::-1]
+    by_int = sorted(backwards, key=lambda k: pbw_rank(k, cfg))
+    assert by_int == sorted(backwards, key=lambda k: brute_pbw_rank(k, cfg))
+    assert len({pbw_rank(k, cfg) for k in pool}) == len(pool)
+    assert all(isinstance(pbw_rank(k, cfg)[1], int) for k in pool)
+
+
+# -- word splittings ---------------------------------------------------------
+
+
+@given(st.lists(st.sampled_from(LETTERS), max_size=6).map(sym_word))
+def test_word_splits_match_the_position_subsets(word):
+    triples = list(_word_splits(word))
+    got = {(left, right): mult for left, right, mult in triples}
+    assert len(got) == len(triples)
+    assert got == brute_word_splits(word)
+    for left, right, _ in triples:
+        assert type(left) is tuple and left == sym_word(left)
+        assert type(right) is tuple and right == sym_word(right)
 
 
 # -- phi ---------------------------------------------------------------------

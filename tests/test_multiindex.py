@@ -1,6 +1,8 @@
 """Multi-index arithmetic: exact degrees, comparison, the capped slice,
 and the text form."""
 
+import copy
+import dataclasses
 import pickle
 from fractions import Fraction
 from itertools import product
@@ -171,6 +173,41 @@ def test_equal_indices_from_different_routes_hash_equal(g1, g2):
         assert g == g1
         assert hash(g) == hash(g1)
     assert len(set(routes)) == 1
+
+
+@pytest.mark.parametrize(
+    "d, alpha", [(1, Fraction(1, 3)), (2, Fraction(1, 2)), (3, Fraction(3, 4)), (8, Fraction(2, 5))]
+)
+def test_config_hash_is_that_of_the_compared_fields(d, alpha):
+    cfg = Config(d, alpha)
+    assert hash(cfg) == hash((cfg.d, cfg.alpha))
+    assert hash(cfg) == hash((d, alpha))
+    assert repr(cfg) == f"Config(d={d!r}, alpha={alpha!r})"
+
+
+def test_configs_equal_in_value_are_equal_and_hash_alike():
+    unreduced, reduced = Config(2, Fraction(2, 4)), Config(2, Fraction(1, 2))
+    assert unreduced == reduced
+    assert hash(unreduced) == hash(reduced)
+    assert len({unreduced, reduced}) == 1
+    assert Config(2, Fraction(1, 2)) != Config(3, Fraction(1, 2))
+    assert Config(2, Fraction(1, 2)) != Config(2, Fraction(3, 4))
+
+
+def test_config_round_trips_through_pickle_copy_and_replace():
+    cfg = Config(3, Fraction(3, 4))
+    for other in (pickle.loads(pickle.dumps(cfg)), copy.copy(cfg), copy.deepcopy(cfg)):
+        assert other == cfg
+        assert hash(other) == hash(cfg)
+        assert repr(other) == repr(cfg)
+    moved = dataclasses.replace(cfg, d=2)
+    assert moved == Config(2, Fraction(3, 4))
+    assert hash(moved) == hash((2, Fraction(3, 4)))
+    assert dataclasses.replace(cfg, alpha=Fraction(2, 4)) == Config(3, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        dataclasses.replace(cfg, alpha=Fraction(3, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.d = 4
 
 
 # -- comparison --------------------------------------------------------------

@@ -35,6 +35,7 @@ from postliemi.postlie import (
     key_derivation,
     parse_l_element,
     parse_l_key,
+    pbw_rank,
     print_l_element,
     print_l_key,
     structural_rank,
@@ -53,6 +54,7 @@ from oracles import (
 )
 
 CFG = Config(2, Fraction(1, 2))
+CFG34 = Config(2, Fraction(3, 4))
 
 
 def single(key, c=1):
@@ -184,6 +186,11 @@ def wrong_dim_keys(d):
     )
 
 
+@given(l_keys(2), st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)))
+def test_single_is_the_one_term_combination(key, c):
+    assert LElement.single(key, c) == LElement.from_terms([(key, c)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_products_match_the_factorized_rules(data):
@@ -209,7 +216,9 @@ def test_nested_products_match_the_factorized_rules(data):
 @given(st.data())
 def test_products_refuse_a_key_of_the_wrong_dimension(data):
     cfg = data.draw(st.sampled_from(ORACLE_CFGS))
-    x = data.draw(l_elements(cfg.d))
+    # terms can cancel, and a zero x gives zero whatever y holds (the next
+    # test), so the (x, y + bad) branch needs a nonzero x to expect a refusal
+    x = data.draw(l_elements(cfg.d).filter(lambda e: not e.is_zero))
     y = data.draw(l_elements(cfg.d, min_size=0))
     bad = LElement.single(data.draw(wrong_dim_keys(cfg.d)))
     x, y = data.draw(st.sampled_from([(x + bad, y), (x, y + bad), (bad, y)]))
@@ -358,11 +367,16 @@ def test_keys_with_their_derivation_stored_pickle_copy_and_compare(g, n, i):
         assert D == (Partial(i) if isinstance(key, Shift) else DOp(n))
         assert key_derivation(key) == D
         assert key_derivation(key) is D  # built once, then read back
+        # a Tilt also stores the degree pair of gamma that pbw_rank reads
+        ranks = [pbw_rank(key, cfg) for cfg in (CFG, CFG34)]
+        assert [pbw_rank(key, cfg) for cfg in (CFG, CFG34)] == ranks
         for other in (pickle.loads(pickle.dumps(key)), copy.copy(key), copy.deepcopy(key)):
             assert other == key == fresh
             assert hash(other) == hash(key) == hash(fresh)
             assert key_derivation(other) == D
+            assert [pbw_rank(other, cfg) for cfg in (CFG, CFG34)] == ranks
         assert repr(key) == repr(fresh)
+        assert len({key, fresh}) == 1
 
 
 def test_keys_stay_immutable():
