@@ -1,14 +1,16 @@
 """Exact post-Lie deformation algebra on regularity-structure multi-indices.
 
 The layers, bottom up: multi-indices and their grading (``multiindex``),
-sparse polynomials (``polyalg``), the basis derivations and their closed
-products (``derivations``), the Lie algebra of decorated derivations with its
-triangular, bracket, connection and deformed products plus the geometric
-residuals (``postlie``), coordinate structure constants (``coordinates``),
-words and the enveloping machinery: star products, PBW straightening, the
-dual coproduct (``enveloping``), the operator representations and the
-coaction enumeration (``representation``), characters and recentering maps
-(``group``), and the named verification suites (``suites``).
+the coefficient container that every combination type below shares
+(``combination``), sparse polynomials (``polyalg``), the basis derivations
+and their closed products (``derivations``), the Lie algebra of decorated
+derivations with its triangular, bracket, connection and deformed products
+plus the geometric residuals (``postlie``), coordinate structure constants
+(``coordinates``), words and the enveloping machinery: star products, PBW
+straightening, the dual coproduct (``enveloping``), the operator
+representations and the coaction enumeration (``representation``),
+characters and recentering maps (``group``), and the named verification
+suites (``suites``).
 """
 
 from .multiindex import Config, HomDegree, MultiIndex, enumerate_below_value, homogeneity

@@ -381,18 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_gamma)
 
-    p = sub.add_parser(
-        "gamma-compose-check", help="run the recentering composition-law suite"
-    )
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-violations", type=int, default=10)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(
-        func=cmd_verify, suite=["gamma-compose"], list=False, all=False
-    )
-
     p = sub.add_parser("coaction", help="coaction contribution tables")
     p.add_argument("--cutoff", type=_fraction, default=Fraction(3, 2))
     _add_config_args(p, alpha_default=Fraction(3, 4))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .combination import Combination
 from .errors import DimensionMismatch, ParseError
 from .multiindex import Config, HomDegree, MultiIndex, n_norm
 from .polyalg import Polynomial
@@ -139,67 +140,13 @@ def apply_word(ds: Sequence[Derivation], p: Polynomial, cfg: Config) -> Polynomi
 # -- linear combinations -----------------------------------------------------
 
 
-def _norm_combo(pairs) -> tuple:
-    acc: dict = {}
-    for D, c in pairs:
-        c = Fraction(c)
-        if c == 0:
-            continue
-        acc[D] = acc.get(D, Fraction(0)) + c
-        if acc[D] == 0:
-            del acc[D]
-    return tuple(sorted(acc.items(), key=lambda Dc: derivation_rank(Dc[0])))
-
-
-@dataclass(frozen=True)
-class DerivationCombo:
+class DerivationCombo(Combination):
     """Finite rational combination of basis derivations, canonical."""
 
-    terms: tuple = ()
-
-    @staticmethod
-    def zero() -> "DerivationCombo":
-        return _DC_ZERO
-
-    @staticmethod
-    def single(D: Derivation, c=1) -> "DerivationCombo":
-        return DerivationCombo(_norm_combo([(D, c)]))
-
-    @staticmethod
-    def from_terms(pairs) -> "DerivationCombo":
-        return DerivationCombo(_norm_combo(pairs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "DerivationCombo") -> "DerivationCombo":
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        return DerivationCombo.from_terms(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "DerivationCombo":
-        return DerivationCombo(tuple((D, -c) for D, c in self.terms))
-
-    def __sub__(self, other: "DerivationCombo") -> "DerivationCombo":
-        return self + (-other)
-
-    def scale(self, c) -> "DerivationCombo":
-        c = Fraction(c)
-        if c == 0:
-            return _DC_ZERO
-        return DerivationCombo(tuple((D, cc * c) for D, cc in self.terms))
+    _rank = staticmethod(derivation_rank)
 
     def apply(self, p: Polynomial, cfg: Config) -> Polynomial:
-        out = Polynomial.zero()
-        for D, c in self.terms:
-            out = out + apply(D, p, cfg).scale(c)
-        return out
-
-
-_DC_ZERO = DerivationCombo(())
+        return Polynomial.sum_of((apply(D, p, cfg), c) for D, c in self.terms)
 
 
 def diamond(D1: Derivation, D2: Derivation) -> DerivationCombo:

@@ -19,10 +19,9 @@ multiset splittings with binomial multiplicities, which is simultaneously
 the coproduct of the symmetric algebra and, through the sorted-word basis,
 of the enveloping algebra.
 
-Elements keep their terms in one canonical order.  A sum of many scaled
-pieces, as in the products below, is merged once and sorted once
-(``from_terms``, ``SymElement.sum_of``), never folded with ``+``, which
-would re-merge and re-sort the running total at every step.
+Combinations of words and of word pairs are ``Combination``s: each sum of
+scaled pieces below is merged once (``from_terms``, ``sum_of``), never
+folded with ``+``.
 
 Duality: ``pairing`` satisfies <w, w> = prod m_i! on a word with letter
 multiplicities m_i, zero on distinct words; ``tmap`` multiplies each word by
@@ -46,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
+from .combination import Combination
 from .errors import TruncationRefused
 from .multiindex import Config, MultiIndex, direction_keys, hom_value, n_norm
 from .postlie import (
@@ -97,82 +97,22 @@ def _word_rank(w: SymWord):
     return (len(w), tuple(structural_rank(x) for x in w))
 
 
-def _merge(pairs) -> list:
-    """Sum coefficients per key as Fractions; the nonzero (key, c) pairs."""
-    acc: dict = {}
-    for key, c in pairs:
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        old = acc.get(key)
-        acc[key] = c if old is None else old + c
-    return [kc for kc in acc.items() if kc[1]]
-
-
-def _norm_sym_terms(pairs) -> tuple:
-    merged = _merge(pairs)
-    merged.sort(key=lambda wc: _word_rank(wc[0]))
-    return tuple(merged)
-
-
-@dataclass(frozen=True)
-class SymElement:
+class SymElement(Combination):
     """Finite rational combination of words, canonical."""
 
-    terms: tuple = ()
-
-    @staticmethod
-    def zero() -> "SymElement":
-        return _SE_ZERO
+    _rank = staticmethod(_word_rank)
+    # declared here, not only inherited: tracing wraps each class's own __add__
+    __add__ = Combination.__add__
 
     @staticmethod
     def unit() -> "SymElement":
         return _SE_UNIT
 
-    @staticmethod
-    def single(w: SymWord, c=1) -> "SymElement":
-        c = Fraction(c)
-        return SymElement(((w, c),)) if c else _SE_ZERO
-
-    @staticmethod
-    def from_terms(pairs) -> "SymElement":
-        return SymElement(_norm_sym_terms(pairs))
-
-    @staticmethod
-    def sum_of(parts) -> "SymElement":
-        """The sum of c * x over (x, c) pairs, merged once."""
-        return SymElement.from_terms((w, cw * c) for x, c in parts for w, cw in x.terms)
-
-    @staticmethod
-    def from_l(x: LElement) -> "SymElement":
-        return SymElement.from_terms(((k,), c) for k, c in x.terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, w: SymWord) -> Fraction:
-        for ww, c in self.terms:
-            if ww == w:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        return SymElement.from_terms(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "SymElement":
-        return SymElement(tuple((w, -c) for w, c in self.terms))
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + (-other)
-
-    def scale(self, c) -> "SymElement":
-        c = Fraction(c)
-        if c == 0:
-            return _SE_ZERO
-        return SymElement(tuple((w, cc * c) for w, cc in self.terms))
+    @classmethod
+    def from_l(cls, x: LElement) -> "SymElement":
+        return cls.from_terms(((k,), c) for k, c in x.terms)
 
 
-_SE_ZERO = SymElement(())
 _SE_UNIT = SymElement(((EMPTY_WORD, Fraction(1)),))
 
 
@@ -180,42 +120,23 @@ def counit(u: SymElement) -> Fraction:
     return u.coeff(EMPTY_WORD)
 
 
-def _norm_tensor_terms(pairs) -> tuple:
-    merged = _merge(pairs)
-    merged.sort(key=lambda wc: (_word_rank(wc[0][0]), _word_rank(wc[0][1])))
-    return tuple(merged)
+def _pair_rank(pair: tuple):
+    return (_word_rank(pair[0]), _word_rank(pair[1]))
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(Combination):
     """Combination of word pairs, canonical."""
 
-    terms: tuple = ()
+    _rank = staticmethod(_pair_rank)
+    # declared here, not only inherited: tracing wraps each class's own __add__
+    __add__ = Combination.__add__
 
-    @staticmethod
-    def zero() -> "TensorElement":
-        return TensorElement(())
-
-    @staticmethod
-    def single(w1: SymWord, w2: SymWord, c=1) -> "TensorElement":
-        return TensorElement(_norm_tensor_terms([((w1, w2), c)]))
-
-    @staticmethod
-    def from_terms(pairs) -> "TensorElement":
-        return TensorElement(_norm_tensor_terms(pairs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    @classmethod
+    def single(cls, w1: SymWord, w2: SymWord, c=1) -> "TensorElement":
+        return super().single((w1, w2), c)
 
     def coeff(self, w1: SymWord, w2: SymWord) -> Fraction:
-        for (a, b), c in self.terms:
-            if a == w1 and b == w2:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        return TensorElement.from_terms(list(self.terms) + list(other.terms))
+        return super().coeff((w1, w2))
 
 
 # -- commutative product and coproduct ---------------------------------------
@@ -223,19 +144,17 @@ class TensorElement:
 
 def poly_star(u: SymElement, v: SymElement) -> SymElement:
     """Multiset union on words, extended bilinearly."""
-    terms = []
-    for w1, c1 in u.terms:
-        for w2, c2 in v.terms:
-            terms.append((sym_word(w1 + w2), c1 * c2))
-    return SymElement.from_terms(terms)
+    return SymElement.from_terms(
+        (sym_word(w1 + w2), c1 * c2) for w1, c1 in u.terms for w2, c2 in v.terms
+    )
 
 
 def tensor_poly_star(t1: TensorElement, t2: TensorElement) -> TensorElement:
-    terms = []
-    for (a1, b1), c1 in t1.terms:
-        for (a2, b2), c2 in t2.terms:
-            terms.append(((sym_word(a1 + a2), sym_word(b1 + b2)), c1 * c2))
-    return TensorElement.from_terms(terms)
+    return TensorElement.from_terms(
+        ((sym_word(a1 + a2), sym_word(b1 + b2)), c1 * c2)
+        for (a1, b1), c1 in t1.terms
+        for (a2, b2), c2 in t2.terms
+    )
 
 
 def _word_splits(w: SymWord):
@@ -285,6 +204,8 @@ class Structure:
         return pbw_normal_form(w1 + w2, self.lie, cfg)
 
     def mul(self, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
+        if self.name == "btr":
+            return poly_star(u, v)
         return SymElement.sum_of(
             (self.mul_words(w1, w2, cfg), c1 * c2) for w1, c1 in u.terms for w2, c2 in v.terms
         )

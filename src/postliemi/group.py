@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .enveloping import SymWord, TruncationParams, dual_coproduct
+from .enveloping import SymWord, TruncationParams, _word_rank, dual_coproduct
 from .errors import ParseError
 from .multiindex import Config, MultiIndex
 from .polyalg import Polynomial
@@ -176,11 +176,7 @@ def check_coaction_axiom(targets: Sequence[MultiIndex], cfg: Config) -> list:
 
         def _rank(t):
             w1, w2, beta = t
-            return (
-                (len(w1), tuple(structural_rank(x) for x in w1)),
-                (len(w2), tuple(structural_rank(x) for x in w2)),
-                beta.sort_rank(),
-            )
+            return (_word_rank(w1), _word_rank(w2), beta.sort_rank())
 
         for k in sorted(keys, key=_rank):
             dl = lhs.get(k, Fraction(0))

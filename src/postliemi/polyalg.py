@@ -8,9 +8,9 @@ exponents, hence degrees add componentwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .combination import Combination
 from .errors import ParseError
 from .multiindex import (
     Config,
@@ -23,69 +23,20 @@ from .multiindex import (
 )
 
 
-def _norm_terms(pairs) -> tuple:
-    acc: dict = {}
-    for g, c in pairs:
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        if c == 0:
-            continue
-        if g in acc:
-            acc[g] += c
-            if acc[g] == 0:
-                del acc[g]
-        else:
-            acc[g] = c
-    items = sorted(acc.items(), key=lambda gc: gc[0].sort_rank())
-    return tuple(items)
-
-
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Combination):
     """Sparse polynomial; terms canonical, coefficients nonzero."""
 
-    terms: tuple = ()
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return _P_ZERO
+    _rank = staticmethod(MultiIndex.sort_rank)
+    # declared here, not only inherited: tracing wraps each class's own __add__
+    __add__ = Combination.__add__
 
     @staticmethod
     def one() -> "Polynomial":
         return _P_ONE
 
-    @staticmethod
-    def monomial(g: MultiIndex, c=1) -> "Polynomial":
-        return Polynomial(_norm_terms([(g, c)]))
-
-    @staticmethod
-    def from_terms(pairs) -> "Polynomial":
-        return Polynomial(_norm_terms(pairs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, g: MultiIndex) -> Fraction:
-        for gg, c in self.terms:
-            if gg == g:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial.from_terms(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple((g, -c) for g, c in self.terms))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return _P_ZERO
-        return Polynomial(tuple((g, cc * c) for g, cc in self.terms))
+    @classmethod
+    def monomial(cls, g: MultiIndex, c=1) -> "Polynomial":
+        return cls.single(g, c)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -95,17 +46,13 @@ class Polynomial:
     __rmul__ = __mul__
 
 
-_P_ZERO = Polynomial(())
 _P_ONE = Polynomial(((MultiIndex.zero(), Fraction(1)),))
 
 
 def multiply(p1: Polynomial, p2: Polynomial) -> Polynomial:
-    acc: dict = {}
-    for g1, c1 in p1.terms:
-        for g2, c2 in p2.terms:
-            g = g1 + g2
-            acc[g] = acc.get(g, 0) + c1 * c2
-    return Polynomial.from_terms(acc.items())
+    return Polynomial.from_terms(
+        (g1 + g2, c1 * c2) for g1, c1 in p1.terms for g2, c2 in p2.terms
+    )
 
 
 def coeff(p: Polynomial, g: MultiIndex) -> Fraction:
@@ -163,7 +110,9 @@ def print_polynomial(p: Polynomial, cfg: Config | None = None) -> str:
 
 
 def _split_sum(s: str) -> list:
-    """Robust top-level sum splitter: returns list of (sign, term_text)."""
+    """Top-level sum splitter, brace and paren aware: returns (sign, term_text)
+    pairs.  A sign right after the exponent marker of a number, as in 1e-3,
+    belongs to that number."""
     parts = []
     depth = 0
     term_start = 0
@@ -175,7 +124,9 @@ def _split_sum(s: str) -> list:
             seen_content = True
         elif ch in ")}":
             depth -= 1
-        elif ch in "+-" and depth == 0:
+        elif ch in "+-" and depth == 0 and not (
+            i >= 2 and s[i - 1] in "eE" and (s[i - 2].isdigit() or s[i - 2] == ".")
+        ):
             if not seen_content:
                 # sign prefixing the current term
                 if ch == "-":

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
 
+from .combination import Combination
 from .derivations import (
     DOp,
     Derivation,
@@ -53,7 +54,7 @@ from .multiindex import (
     parse_multiindex,
     print_multiindex,
 )
-from .polyalg import Polynomial
+from .polyalg import Polynomial, _split_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,71 +181,15 @@ def check_key_dim(key: LBasisKey, d: int) -> None:
         raise DimensionMismatch(f"key over dimension {len(key.n)}, expected {d}")
 
 
-def _norm_l_terms(pairs) -> tuple:
-    acc: dict = {}
-    for k, c in pairs:
-        if not isinstance(c, Fraction):
-            c = Fraction(c)
-        if c == 0:
-            continue
-        if k in acc:
-            acc[k] += c
-            if acc[k] == 0:
-                del acc[k]
-        else:
-            acc[k] = c
-    return tuple(sorted(acc.items(), key=lambda kc: structural_rank(kc[0])))
-
-
-@dataclass(frozen=True)
-class LElement:
+class LElement(Combination):
     """Finite rational combination of basis keys, canonical."""
 
-    terms: tuple = ()
-
-    @staticmethod
-    def zero() -> "LElement":
-        return _L_ZERO
-
-    @staticmethod
-    def single(key: LBasisKey, c=1) -> "LElement":
-        c = Fraction(c)
-        return LElement(((key, c),)) if c else _L_ZERO
-
-    @staticmethod
-    def from_terms(pairs) -> "LElement":
-        return LElement(_norm_l_terms(pairs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, key: LBasisKey) -> Fraction:
-        for k, c in self.terms:
-            if k == key:
-                return c
-        return Fraction(0)
-
-    def __add__(self, other: "LElement") -> "LElement":
-        return LElement.from_terms(list(self.terms) + list(other.terms))
-
-    def __neg__(self) -> "LElement":
-        return LElement(tuple((k, -c) for k, c in self.terms))
-
-    def __sub__(self, other: "LElement") -> "LElement":
-        return self + (-other)
-
-    def scale(self, c) -> "LElement":
-        c = Fraction(c)
-        if c == 0:
-            return _L_ZERO
-        return LElement(tuple((k, cc * c) for k, cc in self.terms))
+    _rank = staticmethod(structural_rank)
+    # declared here, not only inherited: tracing wraps each class's own __add__
+    __add__ = Combination.__add__
 
     def keys(self) -> tuple:
         return tuple(k for k, _ in self.terms)
-
-
-_L_ZERO = LElement(())
 
 
 def in_L0(x: LElement, cfg: Config) -> bool:
@@ -292,7 +237,7 @@ def _diamond_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
 def _bilinear(kernel) -> "BilinearOp":
     def op(x: LElement, y: LElement, cfg: Config) -> LElement:
         if not x.terms:
-            return _L_ZERO
+            return LElement.zero()
         # every key once, in the order a check per pair would meet them
         check_key_dim(x.terms[0][0], cfg.d)
         for ky, _ in y.terms:
@@ -578,42 +523,12 @@ def parse_l_key(s: str, d: int | None = None) -> LBasisKey:
     return key
 
 
-def _split_l_sum(s: str) -> list:
-    """Top-level sum split, brace and paren aware; returns (sign, chunk)."""
-    parts = []
-    depth = 0
-    start = 0
-    pending = 1
-    seen = False
-    for i, ch in enumerate(s):
-        if ch in "({":
-            depth += 1
-            seen = True
-        elif ch in ")}":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            if not seen:
-                if ch == "-":
-                    pending = -pending
-                continue
-            parts.append((pending, s[start:i].strip().lstrip("+-").strip()))
-            pending = 1 if ch == "+" else -1
-            start = i + 1
-            seen = False
-        elif not ch.isspace():
-            seen = True
-    tail = s[start:].strip().lstrip("+-").strip()
-    if seen and tail:
-        parts.append((pending, tail))
-    return parts
-
-
 def parse_l_element(s: str, d: int | None = None) -> LElement:
     text = s.strip()
     if not text or text == "0":
         return LElement.zero()
     terms = []
-    for sign, chunk in _split_l_sum(text):
+    for sign, chunk in _split_sum(text):
         if not chunk:
             raise ParseError("empty term", s, 0)
         for marker in ("z{", "P"):

@@ -46,7 +46,7 @@ from .derivations import (
     derivation_rank,
     diamond as derivation_diamond,
 )
-from .enveloping import STRUCT_BTR, Structure, SymElement, SymWord, sigma, sym_word
+from .enveloping import STRUCT_BTR, Structure, SymElement, SymWord, _word_rank, sigma, sym_word
 from .multiindex import Config, MultiIndex, direction_keys, hom_value, homogeneity, n_norm
 from .polyalg import Polynomial
 from .postlie import (
@@ -68,10 +68,7 @@ def rho_key(key: LBasisKey, p: Polynomial, cfg: Config) -> Polynomial:
 
 
 def rho(x: LElement, p: Polynomial, cfg: Config) -> Polynomial:
-    out = Polynomial.zero()
-    for key, c in x.terms:
-        out = out + rho_key(key, p, cfg).scale(c)
-    return out
+    return Polynomial.sum_of((rho_key(key, p, cfg), c) for key, c in x.terms)
 
 
 def rho_hat(seq: Sequence[LBasisKey], p: Polynomial, cfg: Config) -> Polynomial:
@@ -110,10 +107,7 @@ def psi_word(ds: tuple, g: MultiIndex, cfg: Config) -> Polynomial:
 
 def psi_apply(ds: Iterable[Derivation], p: Polynomial, cfg: Config) -> Polynomial:
     ds = tuple(ds)
-    terms = []
-    for g, c in p.terms:
-        terms.extend((h, c * ch) for h, ch in psi_word(ds, g, cfg).terms)
-    return Polynomial.from_terms(terms)
+    return Polynomial.sum_of((psi_word(ds, g, cfg), c) for g, c in p.terms)
 
 
 def _compose_derivations(ds: Sequence[Derivation], p: Polynomial, cfg: Config) -> Polynomial:
@@ -141,10 +135,7 @@ def rho_bar_word(struct: Structure, w: Sequence[LBasisKey], p: Polynomial, cfg: 
 
 
 def rho_bar(struct: Structure, u: SymElement, p: Polynomial, cfg: Config) -> Polynomial:
-    out = Polynomial.zero()
-    for w, c in u.terms:
-        out = out + rho_bar_word(struct, w, p, cfg).scale(c)
-    return out
+    return Polynomial.sum_of((rho_bar_word(struct, w, p, cfg), c) for w, c in u.terms)
 
 
 # -- coaction ----------------------------------------------------------------
@@ -290,10 +281,5 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
             choose(j, tilts + [letters[j]], used + g)
 
     choose(0, [], MultiIndex.zero())
-    results.sort(
-        key=lambda r: (
-            (len(r.word), tuple(structural_rank(k) for k in r.word)),
-            r.source.sort_rank(),
-        )
-    )
+    results.sort(key=lambda r: (_word_rank(r.word), r.source.sort_rank()))
     return tuple(results)

@@ -29,6 +29,7 @@ from .enveloping import (
     STRUCT_BTR,
     STRUCT_JZ,
     SymElement,
+    _word_rank,
     coshuffle,
     dual_coproduct,
     pbw_normal_form,
@@ -77,7 +78,7 @@ from .postlie import (
     triangleright,
     zero_op,
 )
-from .representation import psi_word, rho_bar, rho_hat
+from .representation import psi_apply, psi_word, rho_bar, rho_hat
 
 CFG_HALF = Config(d=2, alpha=Fraction(1, 2))
 CFG_THREEQ = Config(d=2, alpha=Fraction(3, 4))
@@ -86,7 +87,6 @@ CFG_THREEQ = Config(d=2, alpha=Fraction(3, 4))
 @dataclass
 class SuiteResult:
     name: str
-    description: str
     checks: int = 0
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
@@ -122,12 +122,7 @@ def _collect(result: SuiteResult, tagged, cfg) -> None:
 def run_post_lie_jz(samples: int | None, seed: int) -> SuiteResult:
     n = 200 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "post-lie-jz",
-        "triangular product against the composition bracket: antisymmetry, "
-        "Jacobi, derivation rule, associator rule; plus the triangular "
-        "product acting by derivations of the connection",
-    )
+    res = SuiteResult("post-lie-jz")
     rng = random.Random(seed)
     pool = basis_pool(cfg, gamma_limit=Fraction(3, 2), max_norm=2)
     triples = sample_triples(rng, pool, n)
@@ -140,11 +135,7 @@ def run_post_lie_jz(samples: int | None, seed: int) -> SuiteResult:
 def run_pre_lie_btr(samples: int | None, seed: int) -> SuiteResult:
     n = 200 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "pre-lie-btr",
-        "symmetric associator for the deformed product on the graded "
-        "subalgebra, and closure of that subalgebra under it",
-    )
+    res = SuiteResult("pre-lie-btr")
     rng = random.Random(seed)
     pool = basis_pool(cfg, gamma_limit=Fraction(3, 2), max_norm=1, require_L=True)
     triples = sample_triples(rng, pool, n)
@@ -165,13 +156,7 @@ def run_pre_lie_btr(samples: int | None, seed: int) -> SuiteResult:
 def run_flat_diamond(samples: int | None, seed: int) -> SuiteResult:
     n = 100 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "flat-diamond",
-        "torsion, curvature and covariant torsion of the connection product "
-        "all vanish: exhaustively at derivation level (|n| <= 3), on sampled "
-        "decorated triples, plus the multiplicativity in decorations that "
-        "lifts the derivation-level sweep to every decorated basis triple",
-    )
+    res = SuiteResult("flat-diamond")
     pure = [LElement.single(Shift(i)) for i in (1, 2)] + [
         LElement.single(Tilt(MultiIndex.zero(), nn))
         for nn in [tuple([0] * cfg.d)] + direction_keys(cfg.d, 3)
@@ -225,11 +210,7 @@ def run_flat_diamond(samples: int | None, seed: int) -> SuiteResult:
 def run_bianchi(samples: int | None, seed: int) -> SuiteResult:
     n = 200 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "bianchi",
-        "cyclic torsion-curvature residual vanishes for the connection, zero "
-        "and bracket products, each against the composition bracket",
-    )
+    res = SuiteResult("bianchi")
     rng = random.Random(seed)
     pool = basis_pool(cfg, gamma_limit=Fraction(3, 2), max_norm=2)
     for prod, label in ((diamond, "connection"), (zero_op, "zero"), (bracket, "bracket")):
@@ -243,12 +224,7 @@ def run_bianchi(samples: int | None, seed: int) -> SuiteResult:
 def run_curvature_torsion(samples: int | None, seed: int) -> SuiteResult:
     n = 200 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "curvature-torsion",
-        "curvature written through associators and torsion; derivations still "
-        "act on the deformed bracket; antisymmetrized deformed associator "
-        "equals bracket term plus curvature correction",
-    )
+    res = SuiteResult("curvature-torsion")
     rng = random.Random(seed)
     pool = basis_pool(cfg, gamma_limit=Fraction(3, 2), max_norm=2)
     for x, y, z in sample_triples(rng, pool, n):
@@ -290,12 +266,7 @@ def _sample_word(rng, pool, max_len: int) -> tuple:
 def run_hopf(samples: int | None, seed: int) -> SuiteResult:
     n = 100 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "hopf",
-        "star associativity in both structures, compatibility of the "
-        "splitting coproduct with star, the word-to-star map is a morphism, "
-        "and the straightening rewrite is confluent",
-    )
+    res = SuiteResult("hopf")
     rng = random.Random(seed)
     pool = _word_pool(cfg)
     half = max(n // 2, 1)
@@ -366,13 +337,7 @@ def run_hopf(samples: int | None, seed: int) -> SuiteResult:
 def run_representation(samples: int | None, seed: int) -> SuiteResult:
     n = 100 if samples is None else samples
     cfg = CFG_HALF
-    res = SuiteResult(
-        "representation",
-        "words act as operators: star maps to operator composition in both "
-        "structures, plain composition matches the word-to-star map, the "
-        "symmetrized derivation action is Leibniz over products and exactly "
-        "graded",
-    )
+    res = SuiteResult("representation")
     rng = random.Random(seed)
     pool = _word_pool(cfg)
     monos = enumerate_below_value(Fraction(2), cfg)
@@ -410,10 +375,11 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
     for _ in range(n):
         ds = tuple(key_derivation(k) for k in _sample_word(rng, pool, 2))
         f, g = sample_poly(), sample_poly()
-        lhs = _psi_on_poly(ds, f * g, cfg)
-        rhs = Polynomial.zero()
-        for d1, d2, mult in _derivation_splits(ds):
-            rhs = rhs + (_psi_on_poly(d1, f, cfg) * _psi_on_poly(d2, g, cfg)).scale(mult)
+        lhs = psi_apply(ds, f * g, cfg)
+        rhs = Polynomial.sum_of(
+            (psi_apply(d1, f, cfg) * psi_apply(d2, g, cfg), mult)
+            for d1, d2, mult in _derivation_splits(ds)
+        )
         if lhs != rhs:
             res.violations.append(f"leibniz: word of {len(ds)} derivations")
     grading = 2 * n
@@ -432,13 +398,6 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
                 break
     res.checks = 2 * (n + half) + n + grading
     return res
-
-
-def _psi_on_poly(ds: tuple, p: Polynomial, cfg: Config) -> Polynomial:
-    out = Polynomial.zero()
-    for g, c in p.terms:
-        out = out + psi_word(ds, g, cfg).scale(c)
-    return out
 
 
 def _derivation_splits(ds: tuple):
@@ -465,12 +424,7 @@ def _derivation_splits(ds: tuple):
 
 def run_duality(samples: int | None, seed: int) -> SuiteResult:
     cfg = CFG_HALF
-    res = SuiteResult(
-        "duality",
-        "the dual coproduct is adjoint to the deformed star product under "
-        "the factorial pairing, exhaustively over words of length <= 2 on "
-        "the low-degree alphabet",
-    )
+    res = SuiteResult("duality")
     letters = basis_pool(cfg, gamma_limit=Fraction(1), max_norm=1, require_L=True)
     words = [EMPTY_WORD] + [(x,) for x in letters]
     for i, x in enumerate(letters):
@@ -491,7 +445,9 @@ def run_duality(samples: int | None, seed: int) -> SuiteResult:
                 key = (u, v, w)
                 dual_table[key] = dual_table.get(key, Fraction(0)) + c * sigma(u) * sigma(v)
     res.checks = len(words) ** 3
-    for key in sorted(set(star_table) | set(dual_table), key=_word_triple_rank):
+    for key in sorted(
+        set(star_table) | set(dual_table), key=lambda uvw: tuple(map(_word_rank, uvw))
+    ):
         lv = star_table.get(key, Fraction(0))
         rv = dual_table.get(key, Fraction(0))
         if lv != rv:
@@ -503,22 +459,10 @@ def run_duality(samples: int | None, seed: int) -> SuiteResult:
     return res
 
 
-def _word_triple_rank(key):
-    from .postlie import structural_rank
-
-    return tuple((len(w), tuple(structural_rank(x) for x in w)) for w in key)
-
-
 def run_gamma_compose(samples: int | None, seed: int) -> SuiteResult:
     n = 20 if samples is None else samples
     cfg = CFG_THREEQ
-    res = SuiteResult(
-        "gamma-compose",
-        "recentering maps compose through character convolution on every "
-        "monomial below the cutoff; coaction coassociativity holds "
-        "coefficientwise; multiplicativity failures surveyed and reported, "
-        "not asserted",
-    )
+    res = SuiteResult("gamma-compose")
     rng = random.Random(seed)
     targets = enumerate_below_value(Fraction(3, 2), cfg)
     letters = support_letters(Fraction(3, 2), cfg)
@@ -547,13 +491,7 @@ def run_gamma_compose(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_coordinates(samples: int | None, seed: int) -> SuiteResult:
-    res = SuiteResult(
-        "coordinates",
-        "structure constants extracted from the derivation truncation pass "
-        "the null-torsion, constant-torsion and flatness residual checks; "
-        "the order construction reproduces the connection table; mutated "
-        "tables are caught",
-    )
+    res = SuiteResult("coordinates")
     sc = constants_from_derivations(derivation_labels(2, 2))
     for label, check in ALL_CHECKS.items():
         found = check(sc)

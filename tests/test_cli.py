@@ -90,7 +90,7 @@ def test_verify_accepts_one_sample(capsys):
 
 
 def test_a_suite_without_checks_fails():
-    r = SuiteResult("empty", "checks nothing")
+    r = SuiteResult("empty")
     assert not r.passed
     assert r.line() == "[FAIL] empty: 0 checks"
 

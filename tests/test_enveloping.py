@@ -1,15 +1,20 @@
 """Words over the basis: coproducts, star products, normal forms, the
 pairing, and the dual coproduct."""
 
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postliemi.derivations import DOp, DerivationCombo, Partial, derivation_rank
 from postliemi.errors import TruncationRefused
 from postliemi.multiindex import Config, MultiIndex
+from postliemi.polyalg import Polynomial
 from postliemi.postlie import (
+    LElement,
     Shift,
     Tilt,
     basis_pool,
@@ -78,9 +83,6 @@ LETTERS = [P1, P2, Z0D0, Z0D10, ZN]
 words = st.lists(st.sampled_from(LETTERS), max_size=3).map(sym_word)
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 sym_elements = st.lists(st.tuples(words, coeffs), max_size=4).map(SymElement.from_terms)
-tensor_elements = st.lists(st.tuples(st.tuples(words, words), coeffs), max_size=4).map(
-    TensorElement.from_terms
-)
 scaled = st.one_of(coeffs, st.integers(-2, 2))
 
 
@@ -96,30 +98,45 @@ def _fold(parts, zero):
     return out
 
 
-@given(st.lists(st.tuples(sym_elements, scaled), max_size=5))
-def test_one_merge_sum_equals_the_fold(parts):
-    got = SymElement.sum_of(parts)
-    assert got == _fold(parts, SymElement.zero())
-    ranks = [_rank(w) for w, _ in got.terms]
-    assert ranks == sorted(set(ranks))
+# each container type: the strategy for its keys and its canonical order
+COMBINATIONS = {
+    Polynomial: (
+        st.sampled_from([MultiIndex.zero(), MultiIndex.single(0), MultiIndex.single((1, 0))]),
+        MultiIndex.sort_rank,
+    ),
+    DerivationCombo: (
+        st.sampled_from([Partial(1), Partial(2), DOp((0, 0)), DOp((1, 0)), DOp((0, 1))]),
+        derivation_rank,
+    ),
+    LElement: (st.sampled_from(LETTERS), structural_rank),
+    SymElement: (words, _rank),
+    TensorElement: (st.tuples(words, words), lambda ab: (_rank(ab[0]), _rank(ab[1]))),
+}
+
+
+@pytest.mark.parametrize("cls", list(COMBINATIONS), ids=lambda cls: cls.__name__)
+@given(data=st.data())
+def test_one_merge_sum_equals_the_fold(cls, data):
+    keys, rank = COMBINATIONS[cls]
+    elements = st.lists(st.tuples(keys, coeffs), max_size=4).map(cls.from_terms)
+    parts = data.draw(st.lists(st.tuples(elements, scaled), max_size=5))
+    got = cls.sum_of(parts)
+    assert got == _fold(parts, cls.zero())
+    ranks = [rank(k) for k, _ in got.terms]
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))
     assert all(isinstance(c, Fraction) and c != 0 for _, c in got.terms)
-    assert SymElement.sum_of(parts + [(x, -c) for x, c in parts]).is_zero
+    assert cls.sum_of(parts + [(x, -c) for x, c in parts]).is_zero
+    assert cls.zero() is cls.zero()
+    with pytest.raises(FrozenInstanceError):
+        cls.zero().note = "shared"
+    assert all(cls.zero() != other.zero() for other in COMBINATIONS if other is not cls)
+    back = pickle.loads(pickle.dumps(got))
+    assert type(back) is cls and back == got and hash(back) == hash(got)
 
 
 @given(words, scaled)
 def test_single_is_the_one_term_combination(word, c):
     assert SymElement.single(word, c) == SymElement.from_terms([(word, c)])
-
-
-@given(st.lists(st.tuples(tensor_elements, scaled), max_size=5))
-def test_one_merge_tensor_sum_equals_the_fold(parts):
-    pieces = [(wp, cc * c) for x, c in parts for wp, cc in x.terms]
-    got = TensorElement.from_terms(pieces)
-    assert got == _fold(parts, TensorElement.zero())
-    ranks = [(_rank(a), _rank(b)) for (a, b), _ in got.terms]
-    assert ranks == sorted(set(ranks))
-    assert all(isinstance(c, Fraction) and c != 0 for _, c in got.terms)
-    assert TensorElement.from_terms(pieces + [(wp, -c) for wp, c in pieces]).is_zero
 
 
 @pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR])

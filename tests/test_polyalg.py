@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -114,3 +115,18 @@ def test_text_examples():
         - Polynomial.one()
     )
     assert print_polynomial(Polynomial.zero()) == "0"
+
+
+EXPONENT_COEFFICIENTS = [
+    ("1e-3", Fraction(1, 1000)),
+    ("-2.5e+1", Fraction(-25)),
+    ("1E-2", Fraction(1, 100)),
+]
+
+
+@pytest.mark.parametrize("text, value", EXPONENT_COEFFICIENTS)
+def test_exponent_coefficients_equal_their_fractions(text, value):
+    # the sign of an exponent belongs to its number and does not split the sum
+    assert parse_polynomial(f"{text} z{{k0:1}}") == Z0.scale(value)
+    assert parse_polynomial(f"z{{k1:1}} + {text} z{{k0:1}}") == Z1 + Z0.scale(value)
+    assert parse_polynomial(f"z{{k1:1}} - {text}") == Z1 - Polynomial.one().scale(value)

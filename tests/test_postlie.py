@@ -388,6 +388,19 @@ def test_keys_stay_immutable():
         Shift(1).i = 2
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("1e-3", Fraction(1, 1000)), ("-2.5e+1", Fraction(-25)), ("1E-2", Fraction(1, 100))],
+)
+def test_exponent_coefficients_equal_their_fractions(text, value):
+    # the sign of an exponent belongs to its number and does not split the sum
+    zd = Tilt(MultiIndex.single(0), (0, 0))
+    assert parse_l_element(f"{text} P1", 2) == single(Shift(1), value)
+    assert parse_l_element(f"z{{k0:1}}xD(0,0) - {text} P2", 2) == single(zd) - single(
+        Shift(2), value
+    )
+
+
 # -- membership --------------------------------------------------------------
 
 
