@@ -43,7 +43,7 @@ from .postlie import (
     triangleright,
 )
 from .representation import coaction_contributions, psi_apply, rho_bar_word
-from .suites import DESCRIPTIONS, SUITES, run_suite
+from .suites import SUITES, run_suite
 
 EVAL_OPS = {
     "tr": triangleright,
@@ -135,6 +135,9 @@ def cmd_eval(args) -> int:
     operands = _split_args(expr[open_at + 1 : -1])
     if len(operands) != 2:
         raise ParseError(f"{op_name} takes two arguments, got {len(operands)}")
+    for which, text in zip(("first", "second"), operands):
+        if not text:
+            raise ParseError(f"the {which} operand of {op_name} is empty; write 0 for zero")
     x = _parse_operand(operands[0], cfg.d)
     y = _parse_operand(operands[1], cfg.d)
     result = EVAL_OPS[op_name](x, y, cfg)
@@ -148,7 +151,10 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     if args.list:
         width = max(len(name) for name in SUITES)
-        lines = [f"{name:<{width}}  {DESCRIPTIONS[name]}" for name in SUITES]
+        lines = []
+        for name, run in SUITES.items():
+            summary = (run.__doc__ or "").partition("\n")[0]  # python -OO drops docstrings
+            lines.append(f"{name:<{width}}  {summary}")
         _emit(args, "\n".join(lines))
         return 0
     _require_at_least("--samples", args.samples, 1)

@@ -164,8 +164,12 @@ def compose_commutator(D1: Derivation, D2: Derivation) -> DerivationCombo:
     The only nonzero bracket of basis elements is
     [Partial(i), DOp(n)] = -n_i DOp(n - e_i), equivalently
     [DOp(n), Partial(i)] = +n_i DOp(n - e_i).
+    Only a Partial on the left gives a nonzero ``diamond``, so at most one
+    of the two pair orders contributes.
     """
-    return diamond(D1, D2) - diamond(D2, D1)
+    if isinstance(D1, Partial):
+        return diamond(D1, D2)
+    return -diamond(D2, D1)
 
 
 # -- text form ---------------------------------------------------------------

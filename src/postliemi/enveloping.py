@@ -47,7 +47,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .combination import Combination
 from .errors import TruncationRefused
-from .multiindex import Config, MultiIndex, direction_keys, hom_value, n_norm
+from .multiindex import Config, MultiIndex
 from .postlie import (
     LBasisKey,
     LElement,
@@ -55,6 +55,7 @@ from .postlie import (
     Tilt,
     bracket,
     btr,
+    divisor_tilts,
     key_degree,
     key_in_L,
     pbw_rank,
@@ -63,6 +64,7 @@ from .postlie import (
     triangleright,
     zero_op,
 )
+from .walks import splits
 
 SymWord = Tuple[LBasisKey, ...]  # letters sorted by structural_rank
 
@@ -157,27 +159,9 @@ def tensor_poly_star(t1: TensorElement, t2: TensorElement) -> TensorElement:
     )
 
 
-def _word_splits(w: SymWord):
-    """(left, right, multiplicity) over all multiset splittings of w."""
-    mults = word_mults(w)
-
-    def rec(i: int, left: list, right: list, coeff: int):
-        if i == len(mults):
-            # the letters arrive in canonical order, so both halves are sorted
-            yield tuple(left), tuple(right), coeff
-            return
-        x, m = mults[i]
-        for l in range(m + 1):
-            yield from rec(
-                i + 1, left + [x] * l, right + [x] * (m - l), coeff * math.comb(m, l)
-            )
-
-    yield from rec(0, [], [], 1)
-
-
 def coshuffle(u: SymElement) -> TensorElement:
     return TensorElement.from_terms(
-        ((w1, w2), c * mult) for w, c in u.terms for w1, w2, mult in _word_splits(w)
+        ((w1, w2), c * mult) for w, c in u.terms for w1, w2, mult in splits(word_mults(w))
     )
 
 
@@ -320,7 +304,7 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
     else:
         y, rest = (v[0],), v[1:]
         parts = []
-        for u1, u2, mult in _word_splits(u):
+        for u1, u2, mult in splits(word_mults(u)):
             left = ext_action_word(struct, u1, y, cfg)
             right = ext_action_word(struct, u2, rest, cfg)
             parts.append((struct.mul(left, right, cfg), mult))
@@ -340,7 +324,7 @@ def ext_action_elem(
 def star_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> SymElement:
     return SymElement.sum_of(
         (struct.mul(SymElement.single(u1), ext_action_word(struct, u2, v, cfg), cfg), mult)
-        for u1, u2, mult in _word_splits(u)
+        for u1, u2, mult in splits(word_mults(u))
     )
 
 
@@ -429,34 +413,19 @@ def _ungraft_moves(zeta: Tilt, cfg: Config) -> list:
     out = []
     gz, nz = zeta.gamma, zeta.n
     d = cfg.d
-    zero_dir = tuple([0] * d)
-    # a decorated lowering letter z^{g'} D^(n'), n' != 0, acting multiplicatively:
-    # receiver decoration gz - g' + e_{n'}
-    for gp in gz.divisors():
-        val = hom_value(gp, cfg)
-        if val <= 0:
+    for xi in divisor_tilts(gz, cfg):
+        rem = gz.sub(xi.gamma)
+        if any(xi.n):
+            # a decorated lowering letter z^{g'} D^(n'), acting multiplicatively:
+            # receiver gz - g' + e_{n'}
+            out.append((xi, Tilt(rem + MultiIndex.single(xi.n), nz)))
             continue
-        cap = int(val) if val != int(val) else int(val) - 1
-        for np_ in direction_keys(d, cap):
-            if n_norm(np_) >= val:
+        # ladder letter z^{g'} D^(0): receiver gz - g' + e_{k-1} - e_k
+        for k, _ in rem.k_entries():
+            if k == 0:
                 continue
-            xi = Tilt(gp, np_)
-            try:
-                recv = Tilt(gz.sub(gp) + MultiIndex.single(np_), nz)
-            except ValueError:
-                continue
-            out.append((xi, recv))
-        # ladder letter z^{g'} D^(0): receiver gz - g' + e_k - e_{k+1}
-        if not gp.is_zero:
-            xi0 = Tilt(gp, zero_dir)
-            rem = gz.try_sub(gp)
-            if rem is not None:
-                for k, _ in rem.k_entries():
-                    if k == 0:
-                        continue
-                    recv_g = rem + MultiIndex.single(k - 1)
-                    recv_g = recv_g.sub(MultiIndex.single(k))
-                    out.append((xi0, Tilt(recv_g, nz)))
+            recv_g = rem.sub(MultiIndex.single(k)) + MultiIndex.single(k - 1)
+            out.append((xi, Tilt(recv_g, nz)))
     for i in range(1, d + 1):
         xi = Shift(i)
         ei = tuple(1 if j == i - 1 else 0 for j in range(d))

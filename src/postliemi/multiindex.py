@@ -14,21 +14,25 @@ counting key contributes (1, 0) per unit of exponent, a direction key ``n``
 contributes (0, |n|) with ``|n| = n_1 + ... + n_d``.  All comparisons are done
 on exact rationals; there is no floating point anywhere in this package.
 
-``enumerate_below`` returns the *capped* finite slice of the degree cut: the
-set of all multi-indices of degree value at most ``b`` whose counting-key
-indices are at most ``floor(b*q/p)`` and whose direction keys satisfy
-``|n| <= floor(b)``.  Without the index cap the slice would be infinite
-(``z_k`` has degree alpha for every k), so the cap is part of the contract,
-not an optimization.
+``direction_keys`` lists the direction keys up to a norm as weak
+compositions, and ``enumerate_below`` the multi-indices up to a degree as
+the multisets that fit a budget, both walked by ``walks``.  The latter is
+the *capped* finite slice of the degree cut: all multi-indices of degree
+value at most ``b`` whose counting-key indices are at most ``floor(b*q/p)``
+and whose direction keys satisfy ``|n| <= floor(b)``.  Without the index cap
+the slice would be infinite (``z_k`` has degree alpha for every k), so the
+cap is part of the contract, not an optimization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DimensionMismatch, ParseError
+from .walks import compositions, within_budget
 
 Key = Union[int, tuple]
 # int k          -> counting key (variable z_k)
@@ -264,16 +268,8 @@ class MultiIndex:
     def divisors(self) -> Iterator["MultiIndex"]:
         """All componentwise sub-multi-indices, the zero index included."""
         keys = [k for k, _ in self.entries]
-        mults = [m for _, m in self.entries]
-
-        def rec(i: int, acc: list):
-            if i == len(keys):
-                yield MultiIndex.from_dict(dict(acc))
-                return
-            for c in range(mults[i] + 1):
-                yield from rec(i + 1, acc + [(keys[i], c)])
-
-        yield from rec(0, [])
+        for counts in product(*(range(m + 1) for _, m in self.entries)):
+            yield _trusted(dict(zip(keys, counts)))
 
     def sort_rank(self):
         """Structural rank usable as a tie-break sort key."""
@@ -313,23 +309,13 @@ def hom_value(g: MultiIndex, cfg: Config) -> Fraction:
 def direction_keys(d: int, max_norm: int) -> list:
     """All direction keys of dimension d with 1 <= |n| <= max_norm, lex order.
 
-    These are the weak compositions of 1..max_norm into d parts,
-    C(d + max_norm, d) - 1 of them, generated directly: each coordinate
-    ranges only over what the earlier ones left of the norm budget.
+    These are the weak compositions of max_norm into d + 1 parts with the
+    last (slack) part dropped, C(d + max_norm, d) - 1 of them once the zero
+    vector, which comes first, is skipped.
     """
     if max_norm < 1:
         return []
-    out = []
-
-    def rec(prefix: tuple, left: int, remaining_slots: int):
-        if remaining_slots == 0:
-            out.append(prefix)
-            return
-        for c in range(left + 1):
-            rec(prefix + (c,), left - c, remaining_slots - 1)
-
-    rec((), max_norm, d)
-    return out[1:]  # the zero vector comes first in lex order
+    return [c[:-1] for c in compositions(max_norm, d + 1)][1:]
 
 
 def enumerate_below_value(limit: Fraction, cfg: Config) -> tuple:
@@ -345,22 +331,7 @@ def enumerate_below_value(limit: Fraction, cfg: Config) -> tuple:
     kmax = int(limit / cfg.alpha)  # floor for nonnegative rationals
     weighted: list = [(k, cfg.alpha) for k in range(kmax + 1)]
     weighted += [(n, Fraction(n_norm(n))) for n in direction_keys(cfg.d, int(limit))]
-
-    out = []
-
-    def rec(i: int, budget: Fraction, acc: list):
-        if i == len(weighted):
-            out.append(MultiIndex.from_dict(dict(acc)))
-            return
-        key, w = weighted[i]
-        rec(i + 1, budget, acc)
-        m, rem = 1, budget - w
-        while rem >= 0:
-            rec(i + 1, rem, acc + [(key, m)])
-            m += 1
-            rem -= w
-
-    rec(0, limit, [])
+    out = [MultiIndex.from_dict(acc) for acc, _ in within_budget(weighted, limit)]
     out.sort(key=lambda g: (hom_value(g, cfg), g.sort_rank()))
     return tuple(out)
 

@@ -28,6 +28,7 @@ closed under btr, which the test suite checks by sampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Sequence, Tuple, Union
@@ -170,6 +171,23 @@ def key_in_L(key: LBasisKey, cfg: Config) -> bool:
     if isinstance(key, Shift):
         return key.i <= cfg.d
     return hom_value(key.gamma, cfg) > n_norm(key.n)
+
+
+def divisor_tilts(g: MultiIndex, cfg: Config) -> list:
+    """The tilts of the graded subalgebra whose decoration divides g.
+
+    These are z^{g'} D^(n) for every nonzero divisor g' of g and every n,
+    zero first, with |n| < |g'|: the letters that can take part in a
+    product or word landing on the decoration g.
+    """
+    zero_dir = tuple([0] * cfg.d)
+    out = []
+    for gp in g.divisors():
+        if gp.is_zero:
+            continue
+        cap = math.ceil(hom_value(gp, cfg)) - 1  # the largest norm below |g'|
+        out.extend(Tilt(gp, n) for n in [zero_dir] + direction_keys(cfg.d, cap))
+    return out
 
 
 def check_key_dim(key: LBasisKey, d: int) -> None:

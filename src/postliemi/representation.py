@@ -47,18 +47,20 @@ from .derivations import (
     diamond as derivation_diamond,
 )
 from .enveloping import STRUCT_BTR, Structure, SymElement, SymWord, _word_rank, sigma, sym_word
-from .multiindex import Config, MultiIndex, direction_keys, hom_value, homogeneity, n_norm
+from .multiindex import Config, MultiIndex, direction_keys, homogeneity, n_norm
 from .polyalg import Polynomial
 from .postlie import (
     LBasisKey,
     LElement,
     Shift,
     Tilt,
+    divisor_tilts,
     key_derivation,
     key_poly,
     pbw_rank,
     structural_rank,
 )
+from .walks import compositions, within_budget
 
 # -- letter and operator actions ---------------------------------------------
 
@@ -150,84 +152,6 @@ class Contribution:
     coeff: Fraction
 
 
-def _tilt_letter_candidates(target: MultiIndex, cfg: Config) -> list:
-    out = []
-    for g in target.divisors():
-        if g.is_zero:
-            continue
-        val = hom_value(g, cfg)
-        zero_dir = tuple([0] * cfg.d)
-        cap = int(val) if val != int(val) else int(val) - 1
-        for n in [zero_dir] + direction_keys(cfg.d, cap):
-            if n_norm(n) < val:
-                out.append(Tilt(g, n))
-    return sorted(out, key=structural_rank)
-
-
-def _k_parts(count: int, max_key: int) -> list:
-    """Multisets of count K-keys drawn from 0..max_key, as multi-indices."""
-    if count == 0:
-        return [MultiIndex.zero()]
-    if max_key < 0:
-        return []
-    out = []
-
-    def rec(k: int, left: int, acc: dict):
-        if left == 0:
-            out.append(MultiIndex.from_dict(dict(acc)))
-            return
-        if k > max_key:
-            return
-        for m in range(left + 1):
-            nxt = dict(acc)
-            if m:
-                nxt[k] = m
-            rec(k + 1, left - m, nxt)
-
-    rec(0, count, {})
-    return out
-
-
-def _n_parts(budget: int, d: int) -> list:
-    """Multi-indices supported on direction keys with weighted size <= budget,
-    each paired with what it leaves of the budget."""
-    keys = direction_keys(d, budget)
-    out = []
-
-    def rec(i: int, left: int, acc: dict):
-        if i == len(keys):
-            out.append((MultiIndex.from_dict(dict(acc)), left))
-            return
-        w = n_norm(keys[i])
-        m = 0
-        while m * w <= left:
-            nxt = dict(acc)
-            if m:
-                nxt[keys[i]] = m
-            rec(i + 1, left - m * w, nxt)
-            m += 1
-
-    rec(0, budget, {})
-    return out
-
-
-def _shift_letters(total: int, d: int) -> list:
-    """All ways of assigning total shift letters to the d directions, each
-    as its list of letters."""
-    out = []
-
-    def rec(i: int, left: int, acc: list):
-        if i == d:
-            if left == 0:
-                out.append(acc)
-            return
-        for m in range(left + 1):
-            rec(i + 1, left - m, acc + [Shift(i + 1)] * m)
-
-    rec(0, total, [])
-    return out
-
-
 def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     """All (word, source, coefficient) triples of the coaction on z^target.
 
@@ -241,10 +165,11 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     ht = homogeneity(target)
     k_keys = [k for k, _ in target.k_entries()]
     max_k = max(k_keys) if k_keys else -1
-    letters = _tilt_letter_candidates(target, cfg)
+    letters = sorted(divisor_tilts(target, cfg), key=structural_rank)
     k_parts: dict = {}  # counting budget -> source parts on K-keys
     n_parts: dict = {}  # b budget -> [(part on direction keys, shifts left)]
     shift_letters: dict = {}  # shift count -> every spread over the d shifts
+    units = [Shift(i) for i in range(1, cfg.d + 1)]
     results = []
 
     def finish(tilts: list, used: MultiIndex):
@@ -256,15 +181,24 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
         if b_budget < 0:
             return
         if a_fix not in k_parts:
-            k_parts[a_fix] = _k_parts(a_fix, max_k)
+            k_parts[a_fix] = [
+                MultiIndex.from_dict(dict(enumerate(c))) for c in compositions(a_fix, max_k + 1)
+            ]
         if b_budget not in n_parts:
-            n_parts[b_budget] = _n_parts(b_budget, cfg.d)
+            weighted = [(n, n_norm(n)) for n in direction_keys(cfg.d, b_budget)]
+            n_parts[b_budget] = [
+                (MultiIndex.from_dict(acc), left)
+                for acc, left in within_budget(weighted, b_budget)
+            ]
         for k_part in k_parts[a_fix]:
             for n_part, m_total in n_parts[b_budget]:
                 beta = k_part + n_part
                 source = Polynomial.monomial(beta)
                 if m_total not in shift_letters:
-                    shift_letters[m_total] = _shift_letters(m_total, cfg.d)
+                    shift_letters[m_total] = [
+                        [x for x, m in zip(units, c) for _ in range(m)]
+                        for c in compositions(m_total, cfg.d)
+                    ]
                 for shifts in shift_letters[m_total]:
                     u = sym_word(tilts + shifts)
                     value = rho_bar_word(STRUCT_BTR, u, source, cfg)

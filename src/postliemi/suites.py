@@ -2,6 +2,7 @@
 
 Each suite draws seeded samples, evaluates a family of exact identities and
 returns a ``SuiteResult`` whose ``violations`` list is empty on success.
+The first line of a runner's docstring is its ``verify --list`` description.
 ``samples=None`` means the suite's own default, which is also what the
 acceptance tests run.  Everything is exact rational arithmetic; a suite never
 passes "within tolerance".
@@ -9,7 +10,6 @@ passes "within tolerance".
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +23,7 @@ from .coordinates import (
     derivation_order,
     diamond_from_order,
 )
-from .derivations import derivation_degree
+from .derivations import derivation_degree, derivation_rank
 from .enveloping import (
     EMPTY_WORD,
     STRUCT_BTR,
@@ -43,6 +43,7 @@ from .enveloping import (
     tensor_componentwise,
     tensor_poly_star,
     tensor_star,
+    word_mults,
 )
 from .group import (
     check_coaction_axiom,
@@ -79,6 +80,7 @@ from .postlie import (
     zero_op,
 )
 from .representation import psi_apply, psi_word, rho_bar, rho_hat
+from .walks import splits
 
 CFG_HALF = Config(d=2, alpha=Fraction(1, 2))
 CFG_THREEQ = Config(d=2, alpha=Fraction(3, 4))
@@ -120,6 +122,7 @@ def _collect(result: SuiteResult, tagged, cfg) -> None:
 
 
 def run_post_lie_jz(samples: int | None, seed: int) -> SuiteResult:
+    """compatibility axioms for the triangular product and composition bracket"""
     n = 200 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("post-lie-jz")
@@ -133,6 +136,7 @@ def run_post_lie_jz(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_pre_lie_btr(samples: int | None, seed: int) -> SuiteResult:
+    """symmetric associator and closure for the deformed product"""
     n = 200 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("pre-lie-btr")
@@ -154,6 +158,7 @@ def run_pre_lie_btr(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_flat_diamond(samples: int | None, seed: int) -> SuiteResult:
+    """vanishing torsion, curvature and covariant torsion of the connection"""
     n = 100 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("flat-diamond")
@@ -208,6 +213,7 @@ def run_flat_diamond(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_bianchi(samples: int | None, seed: int) -> SuiteResult:
+    """cyclic torsion-curvature residual vanishes for three product choices"""
     n = 200 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("bianchi")
@@ -222,6 +228,7 @@ def run_bianchi(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_curvature_torsion(samples: int | None, seed: int) -> SuiteResult:
+    """curvature identities linking associators, torsion and deformations"""
     n = 200 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("curvature-torsion")
@@ -264,6 +271,7 @@ def _sample_word(rng, pool, max_len: int) -> tuple:
 
 
 def run_hopf(samples: int | None, seed: int) -> SuiteResult:
+    """star associativity, coproduct compatibility, morphism and confluence checks"""
     n = 100 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("hopf")
@@ -335,6 +343,7 @@ def run_hopf(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_representation(samples: int | None, seed: int) -> SuiteResult:
+    """operator actions of words; Leibniz and grading of the derivation action"""
     n = 100 if samples is None else samples
     cfg = CFG_HALF
     res = SuiteResult("representation")
@@ -378,7 +387,7 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
         lhs = psi_apply(ds, f * g, cfg)
         rhs = Polynomial.sum_of(
             (psi_apply(d1, f, cfg) * psi_apply(d2, g, cfg), mult)
-            for d1, d2, mult in _derivation_splits(ds)
+            for d1, d2, mult in splits(word_mults(sorted(ds, key=derivation_rank)))
         )
         if lhs != rhs:
             res.violations.append(f"leibniz: word of {len(ds)} derivations")
@@ -400,29 +409,8 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
     return res
 
 
-def _derivation_splits(ds: tuple):
-    """Multiset splittings of a derivation word with binomial multiplicities."""
-    groups: list = []
-    for D in sorted(ds, key=repr):
-        if groups and groups[-1][0] == D:
-            groups[-1][1] += 1
-        else:
-            groups.append([D, 1])
-
-    def rec(i, left, right, mult):
-        if i == len(groups):
-            yield tuple(left), tuple(right), mult
-            return
-        D, m = groups[i]
-        for take in range(m + 1):
-            yield from rec(
-                i + 1, left + [D] * take, right + [D] * (m - take), mult * math.comb(m, take)
-            )
-
-    yield from rec(0, [], [], 1)
-
-
 def run_duality(samples: int | None, seed: int) -> SuiteResult:
+    """adjointness of the dual coproduct and the deformed star product"""
     cfg = CFG_HALF
     res = SuiteResult("duality")
     letters = basis_pool(cfg, gamma_limit=Fraction(1), max_norm=1, require_L=True)
@@ -460,6 +448,7 @@ def run_duality(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_gamma_compose(samples: int | None, seed: int) -> SuiteResult:
+    """composition law of the recentering maps through convolution"""
     n = 20 if samples is None else samples
     cfg = CFG_THREEQ
     res = SuiteResult("gamma-compose")
@@ -491,6 +480,7 @@ def run_gamma_compose(samples: int | None, seed: int) -> SuiteResult:
 
 
 def run_coordinates(samples: int | None, seed: int) -> SuiteResult:
+    """structure-constant residual checks and the order construction"""
     res = SuiteResult("coordinates")
     sc = constants_from_derivations(derivation_labels(2, 2))
     for label, check in ALL_CHECKS.items():
@@ -530,20 +520,6 @@ SUITES: dict = {
     "gamma-compose": run_gamma_compose,
     "coordinates": run_coordinates,
 }
-
-DESCRIPTIONS: dict = {
-    "post-lie-jz": "compatibility axioms for the triangular product and composition bracket",
-    "pre-lie-btr": "symmetric associator and closure for the deformed product",
-    "flat-diamond": "vanishing torsion, curvature and covariant torsion of the connection",
-    "bianchi": "cyclic torsion-curvature residual vanishes for three product choices",
-    "curvature-torsion": "curvature identities linking associators, torsion and deformations",
-    "hopf": "star associativity, coproduct compatibility, morphism and confluence checks",
-    "representation": "operator actions of words; Leibniz and grading of the derivation action",
-    "duality": "adjointness of the dual coproduct and the deformed star product",
-    "gamma-compose": "composition law of the recentering maps through convolution",
-    "coordinates": "structure-constant residual checks and the order construction",
-}
-
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0) -> SuiteResult:
     if name not in SUITES:

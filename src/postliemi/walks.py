@@ -1,0 +1,76 @@
+"""The three multiset walks that make the infinite-looking sums finite.
+
+The dual coproduct, the coaction and the recentering maps are sums over
+words, exponents and directions, cut down to finite searches over
+multisets: weak compositions (``compositions``), multisets that fit a
+weight budget (``within_budget``) and splittings in two (``splits``).
+Like ``combination``, this is not a layer of the algebra: the walks know
+nothing of the keys they are handed.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations_with_replacement
+from operator import sub
+from typing import Iterator, Sequence
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple]:
+    """Tuples of parts naturals that add up to total, in lex order.
+
+    Read off the running sums: nondecreasing runs of parts - 1 cuts in
+    0..total, which ``combinations_with_replacement`` lists in lex order.
+    """
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for cuts in combinations_with_replacement(range(total + 1), parts - 1):
+        # built from a list, the tuple is allocated at its size; tuple(map(...))
+        # shrinks a larger one, and those pile up on CPython's tuple free list
+        yield tuple(list(map(sub, cuts + (total,), (0,) + cuts)))
+
+
+def within_budget(weighted: Sequence[tuple], budget) -> Iterator[tuple]:
+    """(multiset, left over) for every multiset of keys that fits the budget.
+
+    weighted is a sequence of (key, weight) pairs, each weight positive; a
+    multiset is a dict key -> multiplicity >= 1 whose keys keep the order of
+    weighted, and left over is budget minus its total weight, never below 0.
+    Weights and budget may be ints or Fractions.
+    """
+
+    def rec(i: int, left, acc: list):
+        if i == len(weighted):
+            yield dict(acc), left
+            return
+        key, w = weighted[i]
+        yield from rec(i + 1, left, acc)
+        m, left = 1, left - w
+        while left >= 0:
+            yield from rec(i + 1, left, acc + [(key, m)])
+            m, left = m + 1, left - w
+
+    yield from rec(0, budget, [])
+
+
+def splits(mults: Sequence[tuple]) -> Iterator[tuple]:
+    """(left, right, count) over all splittings of a multiset in two.
+
+    mults lists the distinct items with their multiplicities, (item, m)
+    pairs; left and right are tuples that keep that order, and count is the
+    number of ways to pick the left positions, the product of C(m, l).
+    """
+
+    def rec(i: int, left: list, right: list, coeff: int):
+        if i == len(mults):
+            yield tuple(left), tuple(right), coeff
+            return
+        x, m = mults[i]
+        for l in range(m + 1):
+            yield from rec(
+                i + 1, left + [x] * l, right + [x] * (m - l), coeff * math.comb(m, l)
+            )
+
+    yield from rec(0, [], [], 1)

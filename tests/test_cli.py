@@ -35,6 +35,12 @@ def test_eval_json(capsys):
     assert json.loads(out) == {"op": "diamond", "result": "0"}
 
 
+def test_eval_accepts_an_explicit_zero_operand(capsys):
+    rc, out, _ = run(capsys, ["eval", "btr(0,[P2])"])
+    assert rc == 0
+    assert out == "0\n"
+
+
 def test_eval_rejects_unknown_op(capsys):
     rc, _, err = run(capsys, ["eval", "frobnicate([P1],[P2])"])
     assert rc == 2
@@ -257,6 +263,9 @@ def test_check_coords_json_keeps_residual_order(capsys, tmp_path):
             ["dual-coproduct", "[P1]", "--max-letter-degree=-1/2"],
             "--max-letter-degree must be at least 0, got -1/2",
         ),
+        (["eval", "btr( , )"], "the first operand of btr is empty; write 0 for zero"),
+        (["eval", "btr(,[P2])"], "the first operand of btr is empty; write 0 for zero"),
+        (["eval", "bracket([P1],)"], "the second operand of bracket is empty; write 0 for zero"),
     ],
 )
 def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, message):

@@ -31,7 +31,6 @@ from postliemi.enveloping import (
     SymElement,
     TensorElement,
     TruncationParams,
-    _word_splits,
     coshuffle,
     counit,
     dual_coproduct,
@@ -48,7 +47,9 @@ from postliemi.enveloping import (
     sym_word,
     tensor_poly_star,
     tmap,
+    word_mults,
 )
+from postliemi.walks import splits
 
 from oracles import (
     brute_dual_coproduct,
@@ -319,7 +320,7 @@ def test_integer_pbw_rank_sorts_like_the_exact_degree(cfg):
 
 @given(st.lists(st.sampled_from(LETTERS), max_size=6).map(sym_word))
 def test_word_splits_match_the_position_subsets(word):
-    triples = list(_word_splits(word))
+    triples = list(splits(word_mults(word)))
     got = {(left, right): mult for left, right, mult in triples}
     assert len(got) == len(triples)
     assert got == brute_word_splits(word)

@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 
 from postliemi.derivations import DOp, Partial
 from postliemi.errors import DimensionMismatch
-from postliemi.multiindex import Config, MultiIndex, n_norm, print_multiindex
+from postliemi.multiindex import (
+    Config,
+    MultiIndex,
+    enumerate_below_value,
+    hom_value,
+    n_norm,
+    print_multiindex,
+)
 from postliemi.postlie import (
     LElement,
     Shift,
@@ -29,6 +36,7 @@ from postliemi.postlie import (
     covariant_torsion,
     curvature,
     diamond,
+    divisor_tilts,
     grand_bracket,
     in_L,
     in_L0,
@@ -50,6 +58,7 @@ from oracles import (
     brute_btr,
     brute_diamond,
     brute_grand_bracket,
+    brute_letters,
     brute_triangleright,
 )
 
@@ -409,6 +418,26 @@ def test_membership_examples():
     assert not in_L(tilt({(1, 0): 1}, (1, 0)), CFG)
     assert in_L(P1, CFG)
     assert in_L0(tilt({(1, 0): 1}, (1, 0)), CFG)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [Config(d, alpha) for d in (2, 3) for alpha in (Fraction(1, 2), Fraction(3, 4))],
+    ids=lambda cfg: f"d{cfg.d}-alpha{cfg.alpha}",
+)
+def test_divisor_tilts_are_the_brute_letters_that_divide(cfg):
+    # the targets include divisors of integer degree, such as z_(1,0), where
+    # a tilt with |n| = |g'| must be left out
+    for target in enumerate_below_value(Fraction(3, 2), cfg):
+        max_k = max((k for k, _ in target.k_entries()), default=-1)
+        expect = [
+            x
+            for x in brute_letters(hom_value(target, cfg), cfg, max_k)
+            if isinstance(x, Tilt) and target.try_sub(x.gamma) is not None
+        ]
+        got = divisor_tilts(target, cfg)
+        assert len(set(got)) == len(got)
+        assert set(got) == set(expect)
 
 
 # -- checkers ----------------------------------------------------------------
