@@ -1,6 +1,7 @@
 """Exact post-Lie deformation algebra on regularity-structure multi-indices.
 
-The layers, bottom up: multi-indices and their grading (``multiindex``),
+The layers, bottom up, every printer and parser built from the shared
+lexical pieces of ``text``: multi-indices and their grading (``multiindex``),
 the coefficient container that every combination type below shares
 (``combination``), sparse polynomials (``polyalg``), the basis derivations
 and their closed products (``derivations``), the Lie algebra of decorated

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .coordinates import (
     ALL_CHECKS,
+    CONSTANTS_LINE,
     constants_from_derivations,
     derivation_labels,
     parse_constants,
@@ -27,12 +28,14 @@ from .enveloping import (
     dual_coproduct,
     parse_word,
     print_tensor_element,
+    print_word,
 )
-from .errors import ParseError, TruncationRefused
+from .errors import ParseError
 from .group import gamma_apply, parse_character
 from .multiindex import Config, enumerate_below_value
 from .polyalg import Polynomial, parse_polynomial, print_polynomial
 from .postlie import (
+    LElement,
     bbracket,
     bracket,
     btr,
@@ -44,6 +47,7 @@ from .postlie import (
 )
 from .representation import coaction_contributions, psi_apply, rho_bar_word
 from .suites import SUITES, run_suite
+from .text import parse_rational, split_commas
 
 EVAL_OPS = {
     "tr": triangleright,
@@ -58,9 +62,9 @@ EVAL_OPS = {
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational like 3/4, got {text!r}")
+        return parse_rational(text)
+    except ParseError:
+        raise argparse.ArgumentTypeError(f"expected a rational like 3/4, got {text!r}") from None
 
 
 def _config(args) -> Config:
@@ -92,32 +96,13 @@ def _emit(args, text: str) -> None:
         print(text)
 
 
-def _split_args(s: str) -> list:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(s):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            parts.append(s[start:i])
-            start = i + 1
-    parts.append(s[start:])
-    return [p.strip() for p in parts]
-
-
 def _parse_operand(s: str, d: int):
-    s = s.strip()
-    try:
+    """A Lie algebra element, or a one-letter word such as [P1]."""
+    if not s.startswith("["):
         return parse_l_element(s, d)
-    except ParseError:
-        pass
-    # also accept single-letter word syntax, [P1] or [z{...}xD(...)]
     w = parse_word(s, d)
     if len(w) != 1:
         raise ParseError(f"expected a Lie algebra element, got the word {s!r}")
-    from .postlie import LElement
-
     return LElement.single(w[0])
 
 
@@ -132,7 +117,7 @@ def cmd_eval(args) -> int:
         raise ParseError(
             f"unknown operation {op_name!r}; choose from {', '.join(sorted(EVAL_OPS))}"
         )
-    operands = _split_args(expr[open_at + 1 : -1])
+    operands = [item.strip() for item, _ in split_commas(expr[open_at + 1 : -1], expr, open_at + 1)]
     if len(operands) != 2:
         raise ParseError(f"{op_name} takes two arguments, got {len(operands)}")
     for which, text in zip(("first", "second"), operands):
@@ -214,8 +199,6 @@ def cmd_dual_coproduct(args) -> int:
         )
     t = dual_coproduct(w, cfg, trunc)
     if args.json:
-        from .enveloping import print_word
-
         terms = [
             {"coeff": str(c), "left": print_word(a, cfg), "right": print_word(b, cfg)}
             for (a, b), c in t.terms
@@ -247,8 +230,6 @@ def cmd_gamma(args) -> int:
 def cmd_coaction(args) -> int:
     cfg = _config(args)
     _require_at_least("--cutoff", args.cutoff, 0)
-    from .enveloping import print_word
-
     lines = []
     records = []
     for g in enumerate_below_value(args.cutoff, cfg):
@@ -330,10 +311,6 @@ def cmd_psi(args) -> int:
 
 def cmd_rhobar(args) -> int:
     cfg = _config(args)
-    if args.structure not in STRUCTURES:
-        raise ParseError(
-            f"unknown structure {args.structure!r}; choose from {', '.join(sorted(STRUCTURES))}"
-        )
     struct = STRUCTURES[args.structure]
     w = parse_word(args.word, cfg.d)
     p = parse_polynomial(args.polynomial, cfg.d)
@@ -395,7 +372,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coaction)
 
     p = sub.add_parser("check-coords", help="structure-constant residual checks")
-    p.add_argument("--table", help="constants file; omitted means the built-in truncation")
+    p.add_argument(
+        "--table",
+        help=f"constants file, one `{CONSTANTS_LINE}` line per entry, labels P<i> "
+        "or D(n), '#' starts a comment; omitted means the built-in truncation",
+    )
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--max-norm", type=int, default=2)
     p.add_argument("--max-violations", type=int, default=10)
@@ -428,10 +409,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, TruncationRefused, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, FileNotFoundError) as e:  # ParseError and TruncationRefused too
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -54,6 +54,7 @@ from .derivations import (
 )
 from .errors import ParseError
 from .multiindex import direction_keys
+from .text import read_assignments
 
 
 def _norm_table(entries) -> dict:
@@ -261,7 +262,10 @@ def derivation_order(sc: StructureConstants):
 #   g P1 D(1,0) D(0,0) = -1
 #   d P1 D(1,0) D(0,0) = -1
 #
-# '#' starts a comment; labels are derivation grammar strings.
+# Lines read by ``text.read_assignments``; labels are derivation grammar
+# strings, and an entry repeated under the printed labels is refused.
+
+CONSTANTS_LINE = "g|d <i> <j> <m> = <rational>"
 
 
 def print_constants(sc: StructureConstants) -> str:
@@ -273,33 +277,29 @@ def print_constants(sc: StructureConstants) -> str:
 
 
 def parse_constants(text: str, d: int | None = None) -> StructureConstants:
-    gamma_entries, delta_entries = [], []
-    seen: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        toks = line.split()
-        if len(toks) != 6 or toks[4] != "=":
-            raise ParseError(f"line {lineno}: expected 'g|d i j m = value', got {raw!r}")
-        kind, *labels, _, value_s = toks
+    derivs: dict = {}  # printed label -> derivation
+
+    def entry(left: str):
+        toks = left.split()
+        if len(toks) != 4:
+            raise ParseError(f"expected '{CONSTANTS_LINE}', got {left!r}")
+        kind, *labels = toks
         if kind not in ("g", "d"):
-            raise ParseError(f"line {lineno}: table must be 'g' or 'd', got {kind!r}")
-        norm = []
-        for lab in labels:
-            try:
-                D = parse_derivation(lab, d)
-            except ParseError as e:
-                raise ParseError(f"line {lineno}: {e}") from None
-            canon = print_derivation(D)
-            seen[canon] = D
-            norm.append(canon)
-        try:
-            value = Fraction(value_s)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"line {lineno}: bad rational {value_s!r}") from None
-        (gamma_entries if kind == "g" else delta_entries).append((tuple(norm), value))
-    index_set = tuple(
-        sorted(seen, key=lambda lab: derivation_rank(seen[lab]))
-    )
-    return StructureConstants.from_entries(index_set, gamma_entries, delta_entries)
+            raise ParseError(f"table must be 'g' or 'd', got {kind!r}")
+        key = [kind]
+        for label in labels:
+            D = parse_derivation(label, d)
+            key.append(print_derivation(D))
+            derivs[key[-1]] = D
+        return tuple(key), " ".join(key)
+
+    entries = read_assignments(text, entry, CONSTANTS_LINE, "entry")
+    index_set = tuple(sorted(derivs, key=lambda label: derivation_rank(derivs[label])))
+    try:
+        return StructureConstants.from_entries(
+            index_set,
+            [(key[1:], v) for key, v in entries if key[0] == "g"],
+            [(key[1:], v) for key, v in entries if key[0] == "d"],
+        )
+    except ValueError as e:  # a bracket table that is not antisymmetric
+        raise ParseError(str(e)) from None

@@ -30,6 +30,7 @@ from .combination import Combination
 from .errors import DimensionMismatch, ParseError
 from .multiindex import Config, HomDegree, MultiIndex, n_norm
 from .polyalg import Polynomial
+from .text import parse_naturals, print_naturals
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def compose_commutator(D1: Derivation, D2: Derivation) -> DerivationCombo:
 def print_derivation(D: Derivation) -> str:
     if isinstance(D, Partial):
         return f"P{D.i}"
-    return "D(" + ",".join(str(c) for c in D.n) + ")"
+    return "D" + print_naturals(D.n)
 
 
 def parse_derivation(s: str, d: int | None = None) -> Derivation:
@@ -188,20 +189,11 @@ def parse_derivation(s: str, d: int | None = None) -> Derivation:
     s = s.strip()
     if s.startswith("P"):
         try:
-            i = int(s[1:])
+            D: Derivation = Partial(int(s[1:]))
         except ValueError:
-            raise ParseError(f"bad direction index in {s!r}", text, 1) from None
-        D: Derivation = Partial(i)
-    elif s.startswith("D(") and s.endswith(")"):
-        comps = s[2:-1].split(",")
-        try:
-            n = tuple(int(c.strip()) for c in comps)
-        except ValueError:
-            raise ParseError(f"bad derivation index in {s!r}", text, 2) from None
-        try:
-            D = DOp(n)
-        except ValueError as e:
-            raise ParseError(str(e), text, 2) from None
+            raise ParseError("expected P<i> with i >= 1", text, 1) from None
+    elif s.startswith("D"):
+        D = DOp(parse_naturals(s[1:], text, 1))
     else:
         raise ParseError(f"expected P<i> or D(...), got {s!r}", text, 0)
     if d is not None:

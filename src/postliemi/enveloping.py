@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .combination import Combination
-from .errors import TruncationRefused
+from .errors import ParseError, TruncationRefused
 from .multiindex import Config, MultiIndex
 from .postlie import (
     LBasisKey,
@@ -58,12 +58,14 @@ from .postlie import (
     divisor_tilts,
     key_degree,
     key_in_L,
+    parse_l_key,
     pbw_rank,
     print_l_key,
     structural_rank,
     triangleright,
     zero_op,
 )
+from .text import print_sum
 from .walks import splits
 
 SymWord = Tuple[LBasisKey, ...]  # letters sorted by structural_rank
@@ -597,35 +599,17 @@ def print_word(w: Sequence[LBasisKey], cfg: Config | None = None) -> str:
 
 def parse_word(s: str, d: int | None = None) -> tuple:
     """Bracketed letters in written order; '1' is the empty word."""
-    from .errors import ParseError
-    from .postlie import parse_l_key
-
     text = s
     s = s.strip()
     if s == "1" or not s:
         return ()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError("word must be bracketed letters or '1'", text, 0)
-    body = s[1:-1]
-    letters = []
-    for chunk in body.split("]["):
-        letters.append(parse_l_key(chunk, d))
-    return tuple(letters)
+    return tuple(parse_l_key(chunk, d) for chunk in s[1:-1].split("]["))
 
 
 def print_sym_element(u: SymElement, cfg: Config) -> str:
-    if u.is_zero:
-        return "0"
-    pieces = []
-    for idx, (w, c) in enumerate(u.terms):
-        neg = c < 0
-        mag = -c if neg else c
-        body = print_word(w, cfg) if mag == 1 else f"{mag} " + print_word(w, cfg)
-        if idx == 0:
-            pieces.append(("- " if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return print_sum((print_word(w, cfg), c) for w, c in u.terms)
 
 
 def print_tensor_element(t: TensorElement, cfg: Config) -> str:

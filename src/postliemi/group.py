@@ -18,8 +18,9 @@ convolution: gamma of (f1 * f2) equals gamma(f2) after gamma(f1); the
 ``check_coaction_axiom`` verifies the coefficientwise compatibility between
 the coaction and the dual coproduct that underlies it.
 
-Character files hold one ``<letter> = <rational>`` line each; blank lines
-and '#' comments are skipped.
+Character files hold one ``<letter> = <rational>`` line each, read by
+``text.read_assignments``: blank lines and '#' comments are skipped and a
+repeated letter is refused.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .enveloping import SymWord, TruncationParams, _word_rank, dual_coproduct
-from .errors import ParseError
 from .multiindex import Config, MultiIndex
 from .polyalg import Polynomial
 from .postlie import LBasisKey, basis_pool, parse_l_key, print_l_key, structural_rank
 from .representation import coaction_contributions
+from .text import read_assignments
 
 
 @dataclass(frozen=True)
@@ -213,20 +214,10 @@ def print_character(f: Character) -> str:
 
 
 def parse_character(text: str, d: int | None = None) -> Character:
-    vals = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected '<letter> = <rational>'")
-        left, right = line.split("=", 1)
-        key = parse_l_key(left.strip(), d)
-        try:
-            val = Fraction(right.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"line {lineno}: bad rational {right.strip()!r}") from exc
-        if key in vals:
-            raise ParseError(f"line {lineno}: duplicate letter {print_l_key(key)}")
-        vals[key] = val
-    return Character.from_dict(vals)
+    def letter(left: str):
+        key = parse_l_key(left, d)
+        return key, print_l_key(key)
+
+    return Character.from_dict(
+        dict(read_assignments(text, letter, "<letter> = <rational>", "letter"))
+    )

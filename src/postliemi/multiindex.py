@@ -32,6 +32,7 @@ from itertools import product
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DimensionMismatch, ParseError
+from .text import parse_naturals, print_naturals, split_commas
 from .walks import compositions, within_budget
 
 Key = Union[int, tuple]
@@ -349,34 +350,13 @@ def enumerate_below(bound: HomDegree, cfg: Config) -> tuple:
 
 
 def print_multiindex(g: MultiIndex) -> str:
-    if g.is_zero:
-        return "{}"
     parts = []
     for key, mult in g.entries:
         if isinstance(key, int):
             parts.append(f"k{key}:{mult}")
         else:
-            parts.append("(" + ",".join(str(c) for c in key) + f"):{mult}")
+            parts.append(print_naturals(key) + f":{mult}")
     return "{" + ",".join(parts) + "}"
-
-
-def _split_top(body: str, text: str, base: int) -> list:
-    """Split on commas not nested inside parentheses."""
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced ')'", text, base + i)
-        elif ch == "," and depth == 0:
-            items.append((body[start:i], base + start))
-            start = i + 1
-    if depth != 0:
-        raise ParseError("unbalanced '('", text, base + start)
-    items.append((body[start:], base + start))
-    return items
 
 
 def parse_multiindex(s: str, d: int | None = None) -> MultiIndex:
@@ -388,7 +368,7 @@ def parse_multiindex(s: str, d: int | None = None) -> MultiIndex:
     if not body:
         return MultiIndex.zero()
     acc: dict = {}
-    for item, pos in _split_top(body, text, 1):
+    for item, pos in split_commas(body, text, 1):
         item = item.strip()
         if ":" not in item:
             raise ParseError("expected key:mult", text, pos)
@@ -407,13 +387,9 @@ def parse_multiindex(s: str, d: int | None = None) -> MultiIndex:
                 key: Key = int(key_s[1:])
             except ValueError:
                 raise ParseError(f"bad counting key {key_s!r}", text, pos) from None
-        elif key_s.startswith("(") and key_s.endswith(")"):
-            comps = key_s[1:-1].split(",")
-            try:
-                key = tuple(int(c.strip()) for c in comps)
-            except ValueError:
-                raise ParseError(f"bad direction key {key_s!r}", text, pos) from None
-            if all(c == 0 for c in key):
+        elif key_s.startswith("("):
+            key = parse_naturals(key_s, text, pos)
+            if not any(key):
                 raise ParseError("zero direction vector not allowed", text, pos)
             if d is not None and len(key) != d:
                 raise DimensionMismatch(f"direction key {key} has length {len(key)}, expected {d}")

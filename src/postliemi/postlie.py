@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Sequence, Tuple, Union
+from typing import Callable, Iterable, Sequence, Tuple, Union
 
 from .combination import Combination
 from .derivations import (
@@ -40,6 +40,8 @@ from .derivations import (
     Partial,
     apply_to_monomial,
     compose_commutator,
+    parse_derivation,
+    print_derivation,
 )
 from .derivations import diamond as derivation_diamond
 from .errors import DimensionMismatch, ParseError
@@ -55,7 +57,8 @@ from .multiindex import (
     parse_multiindex,
     print_multiindex,
 )
-from .polyalg import Polynomial, _split_sum
+from .polyalg import Polynomial
+from .text import parse_sum, print_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,15 +477,8 @@ def sample_triples(rng, pool: Sequence[LBasisKey], count: int, max_terms: int = 
 
 
 def print_l_key(key: LBasisKey) -> str:
-    if isinstance(key, Shift):
-        return f"P{key.i}"
-    return (
-        "z"
-        + print_multiindex(key.gamma)
-        + "xD("
-        + ",".join(str(c) for c in key.n)
-        + ")"
-    )
+    D = print_derivation(key_derivation(key))
+    return D if isinstance(key, Shift) else "z" + print_multiindex(key.gamma) + "x" + D
 
 
 def _print_order(key: LBasisKey, cfg: Config):
@@ -492,47 +488,29 @@ def _print_order(key: LBasisKey, cfg: Config):
 
 
 def print_l_element(x: LElement, cfg: Config) -> str:
-    if x.is_zero:
-        return "0"
     terms = sorted(x.terms, key=lambda kc: structural_rank(kc[0]), reverse=True)
     terms.sort(key=lambda kc: _print_order(kc[0], cfg))
-    pieces = []
-    for idx, (k, c) in enumerate(terms):
-        neg = c < 0
-        mag = -c if neg else c
-        body = print_l_key(k) if mag == 1 else f"{mag} " + print_l_key(k)
-        if idx == 0:
-            pieces.append(("- " if neg else "") + body)
-        else:
-            pieces.append(("- " if neg else "+ ") + body)
-    return " ".join(pieces)
+    return print_sum((print_l_key(k), c) for k, c in terms)
 
 
 def parse_l_key(s: str, d: int | None = None) -> LBasisKey:
+    """A shift ``P<i>``, or a tilt: the decoration prefix ``z{...}x`` and then
+    ``D(...)``, both read by ``parse_derivation``."""
     text = s
     s = s.strip()
     if s.startswith("P"):
-        try:
-            i = int(s[1:])
-        except ValueError:
-            raise ParseError(f"bad direction index in {s!r}", text, 1) from None
-        key: LBasisKey = Shift(i)
+        key: LBasisKey = Shift(parse_derivation(s).i)
     elif s.startswith("z{"):
         close = s.find("}")
         if close < 0:
             raise ParseError("unterminated decoration", text, 1)
         gamma = parse_multiindex(s[1 : close + 1], d)
         rest = s[close + 1 :]
-        if not (rest.startswith("xD(") and rest.endswith(")")):
+        if not rest.startswith("xD"):
             raise ParseError(f"expected xD(...) after decoration, got {rest!r}", text, close + 1)
-        comps = rest[3:-1].split(",")
         try:
-            n = tuple(int(c.strip()) for c in comps)
-        except ValueError:
-            raise ParseError(f"bad direction tuple in {rest!r}", text, close + 1) from None
-        try:
-            key = Tilt(gamma, n)
-        except (ValueError, DimensionMismatch) as e:
+            key = Tilt(gamma, parse_derivation(rest[1:]).n)
+        except DimensionMismatch as e:
             raise ParseError(str(e), text, 0) from None
     else:
         raise ParseError(f"expected P<i> or z{{...}}xD(...), got {s!r}", text, 0)
@@ -542,27 +520,4 @@ def parse_l_key(s: str, d: int | None = None) -> LBasisKey:
 
 
 def parse_l_element(s: str, d: int | None = None) -> LElement:
-    text = s.strip()
-    if not text or text == "0":
-        return LElement.zero()
-    terms = []
-    for sign, chunk in _split_sum(text):
-        if not chunk:
-            raise ParseError("empty term", s, 0)
-        for marker in ("z{", "P"):
-            idx = chunk.find(marker)
-            if idx >= 0:
-                break
-        else:
-            raise ParseError(f"no basis key in term {chunk!r}", s, 0)
-        coeff_s = chunk[:idx].strip()
-        if coeff_s:
-            try:
-                c = Fraction(coeff_s)
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad coefficient {coeff_s!r}", s, 0) from None
-        else:
-            c = Fraction(1)
-        key = parse_l_key(chunk[idx:], d)
-        terms.append((key, sign * c))
-    return LElement.from_terms(terms)
+    return LElement.from_terms(parse_sum(s, ("z{", "P"), lambda label: parse_l_key(label, d)))

@@ -43,6 +43,7 @@ from .derivations import (
     Derivation,
     apply as apply_derivation,
     apply_to_monomial,
+    apply_word,
     derivation_rank,
     diamond as derivation_diamond,
 )
@@ -112,12 +113,6 @@ def psi_apply(ds: Iterable[Derivation], p: Polynomial, cfg: Config) -> Polynomia
     return Polynomial.sum_of((psi_word(ds, g, cfg), c) for g, c in p.terms)
 
 
-def _compose_derivations(ds: Sequence[Derivation], p: Polynomial, cfg: Config) -> Polynomial:
-    for D in reversed(tuple(ds)):
-        p = apply_derivation(D, p, cfg)
-    return p
-
-
 def rho_bar_word(struct: Structure, w: Sequence[LBasisKey], p: Polynomial, cfg: Config) -> Polynomial:
     """Product of the decorations times the derivation-word action.
 
@@ -132,7 +127,7 @@ def rho_bar_word(struct: Structure, w: Sequence[LBasisKey], p: Polynomial, cfg: 
         acted = psi_apply(ds, p, cfg)
     else:
         ordered = sorted(w, key=lambda k: pbw_rank(k, cfg))
-        acted = _compose_derivations([key_derivation(k) for k in ordered], p, cfg)
+        acted = apply_word([key_derivation(k) for k in ordered], p, cfg)
     return Polynomial.monomial(front) * acted
 
 

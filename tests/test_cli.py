@@ -266,6 +266,20 @@ def test_check_coords_json_keeps_residual_order(capsys, tmp_path):
         (["eval", "btr( , )"], "the first operand of btr is empty; write 0 for zero"),
         (["eval", "btr(,[P2])"], "the first operand of btr is empty; write 0 for zero"),
         (["eval", "bracket([P1],)"], "the second operand of bracket is empty; write 0 for zero"),
+        (["psi", "P1", "+"], "sign with no term after it (at offset 0 in '+')"),
+        (["psi", "P1", "-"], "sign with no term after it (at offset 0 in '-')"),
+        (["psi", "P1", "z{k0:1} -"], "sign with no term after it (at offset 8 in 'z{k0:1} -')"),
+        (
+            ["psi", "P1", "z{k0:1} + + z{k1:1}"],
+            "two signs before one term (at offset 10 in 'z{k0:1} + + z{k1:1}')",
+        ),
+        (["eval", "btr(P1 +,P2)"], "sign with no term after it (at offset 3 in 'P1 +')"),
+        (["eval", "btr(1/0 P1,P2)"], "bad rational '1/0' (at offset 0 in '1/0 P1')"),
+        (
+            ["eval", "btr(z{k0:1}xD(-1,0),P1)"],
+            "expected a tuple of naturals like (1,0), got '(-1,0)' (at offset 1 in 'D(-1,0)')",
+        ),
+        (["psi", "P0", "z{k0:1}"], "expected P<i> with i >= 1 (at offset 1 in 'P0')"),
     ],
 )
 def test_nonsense_numbers_exit_2(capsys, tmp_path, argv, message):

@@ -22,6 +22,7 @@ from postliemi.coordinates import (
     print_constants,
 )
 from postliemi.derivations import DOp, Partial
+from postliemi.errors import ParseError
 
 
 def standard_table():
@@ -164,6 +165,24 @@ def test_file_form_round_trip():
     assert again.index_set == sc.index_set
     assert again.gamma == sc.gamma
     assert again.delta == sc.delta
+
+
+def test_file_form_refuses_a_repeated_entry():
+    # compared on the printed labels: P01 is P1, and the two values are not summed
+    text = "g P1 D(1,0) D(0,0) = 1\nd P1 D(1,0) D(0,0) = 1\ng P01 D(1,0) D(0,0) = 2\n"
+    with pytest.raises(ParseError, match=r"^line 3: duplicate entry g P1 D\(1,0\) D\(0,0\)$"):
+        parse_constants(text)
+
+
+@pytest.mark.parametrize("text", ["g P0 P1 P1 = 1", "g P1 P1 = 1", "x P1 P1 P1 = 1", "g P1 P1 P1"])
+def test_file_form_rejects(text):
+    with pytest.raises(ParseError, match="^line 1: "):
+        parse_constants(text)
+
+
+def test_file_form_refuses_a_bracket_that_is_not_antisymmetric():
+    with pytest.raises(ParseError, match="not antisymmetric"):
+        parse_constants("d P1 P2 P2 = 1")
 
 
 # -- agreement with the dense oracle -----------------------------------------

@@ -186,7 +186,7 @@ def test_parse_character_text():
 
 @pytest.mark.parametrize(
     "text",
-    ["P1 = 1\nP1 = 2", "P1 1/2", "P1 = one", "Q3 = 1"],
+    ["P1 = 1\nP1 = 2", "P1 1/2", "P1 = one", "Q3 = 1", "P0 = 1"],
 )
 def test_parse_character_rejects(text):
     with pytest.raises(ParseError):
