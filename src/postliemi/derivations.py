@@ -28,7 +28,7 @@ from typing import Sequence, Union
 
 from .combination import Combination
 from .errors import DimensionMismatch, ParseError
-from .multiindex import Config, HomDegree, MultiIndex, n_norm
+from .multiindex import Config, HomDegree, MultiIndex, _trusted, n_norm
 from .polyalg import Polynomial
 from .text import parse_naturals, print_naturals
 
@@ -93,33 +93,40 @@ def _tuple_sub(n: tuple, i: int) -> tuple:
     return tuple(c - 1 if j == i - 1 else c for j, c in enumerate(n))
 
 
-def _ladder_moves(g: MultiIndex):
-    """(coefficient, g - e_k + e_{k+1}) for each counting key of g."""
+def _ladder_moves(g: MultiIndex, extra=None):
+    """(g - e_k + e_{k+1}, coefficient) for each counting key of g, plus
+    e_extra when an extra key is given.  Each move is one edit of g's dict,
+    built without re-validation: it only shifts multiplicity between valid
+    keys of g's dimension."""
+    base = g.as_dict()
+    if extra is not None:
+        base[extra] = base.get(extra, 0) + 1
     for k, m in g.k_entries():
-        moved = g.sub(MultiIndex.single(k)) + MultiIndex.single(k + 1)
-        yield Fraction((k + 1) * m), moved
+        acc = base.copy()
+        acc[k] -= 1
+        acc[k + 1] = acc.get(k + 1, 0) + 1
+        yield _trusted(acc), Fraction((k + 1) * m)
 
 
 def apply_to_monomial(D: Derivation, g: MultiIndex, cfg: Config) -> list:
     """Action on a single monomial, as (multi-index, coefficient) pairs."""
     check_derivation_dim(D, cfg.d)
-    out = []
     if isinstance(D, DOp):
         if all(c == 0 for c in D.n):
-            for c, moved in _ladder_moves(g):
-                out.append((moved, c))
-        else:
-            m = g.get(D.n)
-            if m:
-                out.append((g.sub(MultiIndex.single(D.n)), Fraction(m)))
-        return out
+            return list(_ladder_moves(g))
+        m = g.get(D.n)
+        return [(g.sub(MultiIndex.single(D.n)), Fraction(m))] if m else []
     # Partial(i): the ladder branch decorated with e_i, plus the raising branch
-    ei = _unit_dir(D.i, cfg.d)
-    for c, moved in _ladder_moves(g):
-        out.append((moved + MultiIndex.single(ei), c))
+    gd = g.dim()
+    if gd is not None and gd != cfg.d:
+        raise DimensionMismatch(f"multi-index over dimension {gd}, expected {cfg.d}")
+    out = list(_ladder_moves(g, _unit_dir(D.i, cfg.d)))
     for n, m in g.n_entries():
-        raised = g.sub(MultiIndex.single(n)) + MultiIndex.single(_tuple_add(n, D.i))
-        out.append((raised, Fraction((n[D.i - 1] + 1) * m)))
+        acc = g.as_dict()
+        acc[n] -= 1
+        up = _tuple_add(n, D.i)
+        acc[up] = acc.get(up, 0) + 1
+        out.append((_trusted(acc), Fraction((n[D.i - 1] + 1) * m)))
     return out
 
 

@@ -598,14 +598,26 @@ def print_word(w: Sequence[LBasisKey], cfg: Config | None = None) -> str:
 
 
 def parse_word(s: str, d: int | None = None) -> tuple:
-    """Bracketed letters in written order; '1' is the empty word."""
+    """Bracketed letters in written order; '1' is the empty word.
+
+    Whitespace may stand around and between the letters, nothing else."""
     text = s
     s = s.strip()
     if s == "1" or not s:
         return ()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError("word must be bracketed letters or '1'", text, 0)
-    return tuple(parse_l_key(chunk, d) for chunk in s[1:-1].split("]["))
+    base = text.index("[")
+    letters, at = [], 0
+    while at < len(s):
+        if s[at] != "[":
+            raise ParseError(f"expected '[' after a letter, got {s[at]!r}", text, base + at)
+        close = s.index("]", at)
+        letters.append(parse_l_key(s[at + 1 : close], d))
+        at = close + 1
+        while s[at : at + 1].isspace():
+            at += 1
+    return tuple(letters)
 
 
 def print_sym_element(u: SymElement, cfg: Config) -> str:

@@ -18,6 +18,13 @@ convolution: gamma of (f1 * f2) equals gamma(f2) after gamma(f1); the
 ``check_coaction_axiom`` verifies the coefficientwise compatibility between
 the coaction and the dual coproduct that underlies it.
 
+A check reads the same few coactions many times, so every function that
+reads them takes an optional ``coaction`` lookup with the signature of
+``coaction_contributions``.  Each check builds its own ``coaction_memo``
+when it is given none, and a caller running several checks passes one memo
+to all of them; the memo lives as long as that caller holds it, so nothing
+here caches across calls.
+
 Character files hold one ``<letter> = <rational>`` line each, read by
 ``text.read_assignments``: blank lines and '#' comments are skipped and a
 repeated letter is refused.
@@ -25,8 +32,9 @@ repeated letter is refused.
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -37,12 +45,29 @@ from .postlie import LBasisKey, basis_pool, parse_l_key, print_l_key, structural
 from .representation import coaction_contributions
 from .text import read_assignments
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Character:
-    """Finitely supported letter values; multiplicative on words."""
+    """Finitely supported letter values; multiplicative on words.
+
+    ``values`` is the whole value: it alone is compared, hashed, printed and
+    pickled.  The letter -> value dict beside it is an index built from it.
+    """
 
     values: tuple = ()
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.values))
+
+    def __getstate__(self):
+        return {"values": self.values}
+
+    def __setstate__(self, state):
+        object.__setattr__(self, "values", state["values"])
+        self.__post_init__()
 
     @staticmethod
     def from_dict(vals: dict) -> "Character":
@@ -51,10 +76,7 @@ class Character:
         return Character(tuple(cleaned))
 
     def value(self, key: LBasisKey) -> Fraction:
-        for k, v in self.values:
-            if k == key:
-                return v
-        return Fraction(0)
+        return self._index.get(key, _ZERO)
 
     def on_word(self, w: Sequence[LBasisKey]) -> Fraction:
         out = Fraction(1)
@@ -100,72 +122,85 @@ def conv_character(
     return Character.from_dict(vals)
 
 
-def gamma_apply(f: Character, g: MultiIndex, cfg: Config) -> Polynomial:
+def coaction_memo():
+    """A fresh memo of ``coaction_contributions``, for one caller's checks."""
+    return functools.cache(coaction_contributions)
+
+
+def gamma_apply(f: Character, g: MultiIndex, cfg: Config, coaction=None) -> Polynomial:
     out = Polynomial.zero()
-    for con in coaction_contributions(g, cfg):
+    for con in (coaction or coaction_contributions)(g, cfg):
         fv = f.on_word(con.word)
         if fv:
             out = out + Polynomial.monomial(con.source, con.coeff * fv)
     return out
 
 
-def gamma_apply_poly(f: Character, p: Polynomial, cfg: Config) -> Polynomial:
+def gamma_apply_poly(f: Character, p: Polynomial, cfg: Config, coaction=None) -> Polynomial:
     out = Polynomial.zero()
     for g, c in p.terms:
-        out = out + gamma_apply(f, g, cfg).scale(c)
+        out = out + gamma_apply(f, g, cfg, coaction).scale(c)
     return out
 
 
-def contribution_letters(targets: Iterable[MultiIndex], cfg: Config) -> list:
+def contribution_letters(targets: Iterable[MultiIndex], cfg: Config, coaction=None) -> list:
     """Distinct letters appearing in the coaction words of the targets."""
+    coaction = coaction or coaction_contributions
     seen = set()
     for g in targets:
-        for con in coaction_contributions(g, cfg):
+        for con in coaction(g, cfg):
             seen.update(con.word)
     return sorted(seen, key=structural_rank)
 
 
 def check_gamma_composition(
-    f1: Character, f2: Character, targets: Sequence[MultiIndex], cfg: Config
+    f1: Character,
+    f2: Character,
+    targets: Sequence[MultiIndex],
+    cfg: Config,
+    coaction=None,
 ) -> list:
     """Violations of gamma_{f1 * f2} = gamma_{f2} o gamma_{f1} on the targets."""
-    letters = contribution_letters(targets, cfg)
+    coaction = coaction or coaction_memo()
+    letters = contribution_letters(targets, cfg, coaction)
     f12 = conv_character(f1, f2, letters, cfg)
     out = []
     for g in targets:
-        lhs = gamma_apply(f12, g, cfg)
-        rhs = gamma_apply_poly(f2, gamma_apply(f1, g, cfg), cfg)
+        lhs = gamma_apply(f12, g, cfg, coaction)
+        rhs = gamma_apply_poly(f2, gamma_apply(f1, g, cfg, coaction), cfg, coaction)
         if lhs != rhs:
             out.append((g, lhs - rhs))
     return out
 
 
 def check_gamma_multiplicativity(
-    f: Character, pairs: Sequence, cfg: Config
+    f: Character, pairs: Sequence, cfg: Config, coaction=None
 ) -> list:
     """Report monomial pairs where gamma_f(z^a z^b) != gamma_f(z^a) gamma_f(z^b).
 
     Not asserted anywhere: the map need not be an algebra morphism in general,
     so callers only report what they find.
     """
+    coaction = coaction or coaction_memo()
     out = []
     for g1, g2 in pairs:
-        lhs = gamma_apply(f, g1 + g2, cfg)
-        rhs = gamma_apply(f, g1, cfg) * gamma_apply(f, g2, cfg)
+        lhs = gamma_apply(f, g1 + g2, cfg, coaction)
+        rhs = gamma_apply(f, g1, cfg, coaction) * gamma_apply(f, g2, cfg, coaction)
         if lhs != rhs:
             out.append(((g1, g2), lhs - rhs))
     return out
 
 
-def check_coaction_axiom(targets: Sequence[MultiIndex], cfg: Config) -> list:
+def check_coaction_axiom(targets: Sequence[MultiIndex], cfg: Config, coaction=None) -> list:
     """Coefficientwise comparison of the two ways around the square:
     coact-then-coact against coact-then-split."""
+    coaction = coaction or coaction_memo()
     out = []
     for g in targets:
-        first = coaction_contributions(g, cfg)
+        first = coaction(g, cfg)
         lhs: dict = {}
         for con in first:
-            for con2 in coaction_contributions(con.source, cfg):
+            for con2 in coaction(con.source, cfg):
                 k = (con.word, con2.word, con2.source)
                 lhs[k] = lhs.get(k, Fraction(0)) + con.coeff * con2.coeff
         rhs: dict = {}

@@ -49,6 +49,7 @@ from .group import (
     check_coaction_axiom,
     check_gamma_composition,
     check_gamma_multiplicativity,
+    coaction_memo,
     sample_character,
     support_letters,
 )
@@ -455,22 +456,23 @@ def run_gamma_compose(samples: int | None, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     targets = enumerate_below_value(Fraction(3, 2), cfg)
     letters = support_letters(Fraction(3, 2), cfg)
+    coaction = coaction_memo()  # every check below reads each target's coaction once
     for _ in range(n):
         f1 = sample_character(rng, letters)
         f2 = sample_character(rng, letters)
-        for g, diff in check_gamma_composition(f1, f2, targets, cfg):
+        for g, diff in check_gamma_composition(f1, f2, targets, cfg, coaction):
             res.violations.append(
                 f"composition at {print_polynomial(Polynomial.monomial(g), cfg)}: "
                 f"difference {print_polynomial(diff, cfg)}"
             )
-    for g, _key, _diff in check_coaction_axiom(targets, cfg):
+    for g, _key, _diff in check_coaction_axiom(targets, cfg, coaction):
         res.violations.append(
             f"coaction coassociativity at {print_polynomial(Polynomial.monomial(g), cfg)}"
         )
     f = sample_character(rng, letters)
     pairs = [(rng.choice(targets), rng.choice(targets)) for _ in range(20)]
     pairs = [(g1, g2) for g1, g2 in pairs if (g1 + g2) in targets]
-    mults = len(check_gamma_multiplicativity(f, pairs, cfg))
+    mults = len(check_gamma_multiplicativity(f, pairs, cfg, coaction))
     res.notes.append(
         f"multiplicativity: {mults} of {len(pairs)} sampled pairs differ "
         "(reported, not asserted)"

@@ -319,6 +319,19 @@ def test_rhobar_letter_action(capsys):
     assert out == "z{k0:1,k1:1}\n"
 
 
+@pytest.mark.parametrize("word", ["[P1][P1]", "[P1] [P1]", "[P1]\t[ P1 ]"])
+def test_rhobar_reads_a_word_with_spaces_between_letters(capsys, word):
+    rc, out, err = run(capsys, ["rhobar", "btr", word, "z{k0:2}", "--alpha", "1/2"])
+    assert (rc, err) == (0, "")
+    assert out == "4 z{k0:1,k1:1,(2,0):1} + 4 z{k0:1,k2:1,(1,0):2} + 2 z{k1:2,(1,0):2}\n"
+
+
+def test_rhobar_refuses_text_between_letters(capsys):
+    rc, out, err = run(capsys, ["rhobar", "btr", "[P1] x [P1]", "z{k0:2}"])
+    assert (rc, out) == (2, "")
+    assert err == "error: expected '[' after a letter, got 'x' (at offset 5 in '[P1] x [P1]')\n"
+
+
 def test_out_writes_a_file_instead_of_stdout(capsys, tmp_path):
     dest = tmp_path / "result.txt"
     rc, out, _ = run(

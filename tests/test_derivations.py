@@ -4,16 +4,19 @@ diamond table, and composition words."""
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postliemi.multiindex import Config, MultiIndex, homogeneity
+from postliemi.errors import DimensionMismatch
+from postliemi.multiindex import Config, MultiIndex, direction_keys, homogeneity
 from postliemi.polyalg import Polynomial, grade_components, multiply
 from postliemi.derivations import (
     DOp,
     Partial,
     DerivationCombo,
     apply,
+    apply_to_monomial,
     apply_word,
     compose_commutator,
     derivation_degree,
@@ -62,6 +65,57 @@ def test_lowering_action():
 
 def test_shift_action():
     assert apply(Partial(1), mono(0), CFG) == mono(1) * mono((1, 0))
+
+
+def _moved(g: MultiIndex, minus, plus) -> MultiIndex:
+    """g - e_minus + sum of e_p over plus, rebuilt through the validating
+    constructor."""
+    acc = g.as_dict()
+    acc[minus] -= 1
+    for key in plus:
+        acc[key] = acc.get(key, 0) + 1
+    return MultiIndex.from_dict(acc)
+
+
+def _reference_action(D, g: MultiIndex, d: int) -> list:
+    """Both branches of the basis action written out from the definition."""
+    if isinstance(D, DOp):
+        return [(_moved(g, k, [k + 1]), Fraction((k + 1) * m)) for k, m in g.k_entries()]
+    ei = tuple(1 if j == D.i - 1 else 0 for j in range(d))
+    ladder = [(_moved(g, k, [k + 1, ei]), Fraction((k + 1) * m)) for k, m in g.k_entries()]
+    raised = [
+        (_moved(g, n, [tuple(c + (j == D.i - 1) for j, c in enumerate(n))]),
+         Fraction((n[D.i - 1] + 1) * m))
+        for n, m in g.n_entries()
+    ]
+    return ladder + raised
+
+
+@st.composite
+def monomials_at(draw, d):
+    dirs = direction_keys(d, 2)
+    keys = st.one_of(st.integers(min_value=0, max_value=3), st.sampled_from(dirs))
+    return MultiIndex.from_dict(draw(st.dictionaries(keys, st.integers(1, 3), max_size=4)))
+
+
+@st.composite
+def ladder_cases(draw):
+    d = draw(st.sampled_from([2, 3]))
+    D = draw(st.sampled_from([DOp((0,) * d)] + [Partial(i) for i in range(1, d + 1)]))
+    return D, draw(monomials_at(d)), Config(d, Fraction(1, 2))
+
+
+@settings(max_examples=200)
+@given(ladder_cases())
+def test_ladder_and_raising_moves_match_the_validated_construction(case):
+    D, g, cfg = case
+    assert apply_to_monomial(D, g, cfg) == _reference_action(D, g, cfg.d)
+
+
+def test_shift_refuses_a_monomial_of_another_dimension():
+    g = MultiIndex.from_dict({0: 1, (1, 0, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        apply_to_monomial(Partial(1), g, CFG)
 
 
 @given(derivs)

@@ -1,5 +1,6 @@
 """Characters, convolution, and the recentering endomorphisms they induce."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,9 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from postliemi.errors import ParseError
-from postliemi.multiindex import Config, MultiIndex
+import postliemi.group as group_mod
+from postliemi.multiindex import Config, MultiIndex, enumerate_below_value
 from postliemi.polyalg import Polynomial
 from postliemi.postlie import Shift, Tilt, key_in_L
+from postliemi.representation import coaction_contributions
+from postliemi.suites import run_suite
 from postliemi.group import (
     Character,
     UNIT_CHARACTER,
@@ -18,6 +22,8 @@ from postliemi.group import (
     check_coaction_axiom,
     check_gamma_composition,
     check_gamma_multiplicativity,
+    coaction_memo,
+    contribution_letters,
     conv_character,
     convolve,
     gamma_apply,
@@ -60,6 +66,17 @@ def test_unlisted_letters_evaluate_to_zero():
     f = Character.from_dict({P1: Fraction(1, 2)})
     assert f.value(T10) == 0
     assert f.on_word((P1, T10)) == 0
+
+
+def test_the_letter_index_is_not_part_of_the_value():
+    f = Character.from_dict({P1: Fraction(1, 2), T10: Fraction(-3)})
+    same = Character(f.values)
+    assert f == same and hash(f) == hash(same)
+    assert repr(f) == f"Character(values={f.values!r})"
+    assert f.__getstate__() == {"values": f.values}
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f
+    assert back.value(T10) == -3 and back.value(TN) == 0
 
 
 def test_char_eval_is_linear():
@@ -146,6 +163,66 @@ def test_multiplicativity_checker_reports_exact_differences():
         if lhs != rhs:
             expected.append(((g1, g2), lhs - rhs))
     assert report == expected
+
+
+# -- the coaction memo -------------------------------------------------------
+
+
+@pytest.fixture
+def coaction_calls(monkeypatch):
+    """Targets handed to the unmemoized coaction, in call order."""
+    calls = []
+
+    def counting(g, cfg):
+        calls.append(g)
+        return coaction_contributions(g, cfg)
+
+    monkeypatch.setattr(group_mod, "coaction_contributions", counting)
+    return calls
+
+
+def test_the_gamma_compose_suite_expands_each_target_once(coaction_calls):
+    res = run_suite("gamma-compose")
+    assert res.violations == []
+    targets = enumerate_below_value(Fraction(3, 2), CFG34)
+    rank = MultiIndex.sort_rank
+    assert sorted(coaction_calls, key=rank) == sorted(targets, key=rank)
+
+
+def test_the_memo_does_not_outlive_its_check(coaction_calls):
+    rng = random.Random(2)
+    letters = support_letters(Fraction(3, 2), CFG34)
+    targets = enumerate_below_value(Fraction(3, 2), CFG34)
+    f1, f2 = sample_character(rng, letters), sample_character(rng, letters)
+    check_gamma_composition(f1, f2, targets, CFG34)
+    first = len(coaction_calls)
+    assert first == len(set(coaction_calls)) > 0
+    check_gamma_composition(f1, f2, targets, CFG34)
+    assert len(coaction_calls) == 2 * first
+
+
+def test_every_check_agrees_across_lookups():
+    rng = random.Random(5)
+    letters = support_letters(Fraction(3, 2), CFG34)
+    targets = enumerate_below_value(Fraction(3, 2), CFG34)
+    f1, f2 = sample_character(rng, letters), sample_character(rng, letters)
+    pairs = [(g1, g2) for g1 in targets[:4] for g2 in targets[:4] if g1 + g2 in targets]
+    p = Polynomial.from_terms((g, Fraction(i + 1, 3)) for i, g in enumerate(targets))
+    runs = {
+        "letters": lambda c: contribution_letters(targets, CFG34, c),
+        "gamma": lambda c: [gamma_apply(f1, g, CFG34, c) for g in targets],
+        "gamma_poly": lambda c: gamma_apply_poly(f2, p, CFG34, c),
+        "composition": lambda c: check_gamma_composition(f1, f2, targets, CFG34, c),
+        "multiplicativity": lambda c: check_gamma_multiplicativity(f1, pairs, CFG34, c),
+        "axiom": lambda c: check_coaction_axiom(targets, CFG34, c),
+    }
+    shared = coaction_memo()
+    for name, run in runs.items():
+        own = run(None)
+        assert run(shared) == own, name
+        assert run(coaction_contributions) == own, name
+    # a nonempty report, so that comparison of the three lookups is not vacuous
+    assert check_gamma_multiplicativity(f1, pairs, CFG34) != []
 
 
 # -- support and sampling ----------------------------------------------------

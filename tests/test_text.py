@@ -173,3 +173,25 @@ def test_one_sign_before_each_term_is_accepted(text, expected):
 def test_out_of_range_numbers_are_parse_errors(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+T = parse_l_key("z{k0:1}xD(0,0)")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[P1][z{k0:1}xD(0,0)][P2]", "[P1] [z{k0:1}xD(0,0)]\t[P2]", "  [P1][ z{k0:1}xD(0,0) ] [P2] "],
+)
+def test_whitespace_may_stand_between_letters(text):
+    assert parse_word(text, 2) == (Shift(1), T, Shift(2))
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("[P1]x[P2]", 4), ("[P1] , [P2]", 5), (" [P1]  ][P2]", 7), ("[P1]]", 4)],
+)
+def test_other_text_between_letters_is_refused_where_it_stands(text, offset):
+    with pytest.raises(ParseError) as info:
+        parse_word(text, 2)
+    assert info.value.pos == offset
+    assert str(info.value).endswith(f"(at offset {offset} in {text!r})")
