@@ -11,7 +11,8 @@ Two families act on polynomials in the z-variables:
            + sum_{n != 0} (n_i + 1) g_n z^{g - e_n + e_{n + e_i}}.
 
 Degrees are exact: |Partial(i)| = (0, 1) and |DOp(n)| = (0, -|n|), so every
-basis derivation shifts the graded pieces of a polynomial uniformly.
+basis derivation shifts the graded pieces of a polynomial uniformly.  The
+transpose on monomials, ``_adjoint_monomial``, runs each branch backwards.
 
 The composition commutator of two basis derivations is again a (multiple of
 a) basis derivation; ``compose_commutator`` returns the closed form, which
@@ -127,6 +128,33 @@ def apply_to_monomial(D: Derivation, g: MultiIndex, cfg: Config) -> list:
         up = _tuple_add(n, D.i)
         acc[up] = acc.get(up, 0) + 1
         out.append((_trusted(acc), Fraction((n[D.i - 1] + 1) * m)))
+    return out
+
+
+def _adjoint_monomial(D: Derivation, h: MultiIndex, cfg: Config) -> list:
+    """The transpose of ``apply_to_monomial``: every (g, c) with
+    c = <D z^g, z^h> != 0, each branch's move read backwards."""
+    base = h.as_dict()
+    if isinstance(D, DOp) and any(D.n):  # lowering: g = h + e_n, c = g_n
+        base[D.n] = base.get(D.n, 0) + 1
+        return [(_trusted(base), Fraction(base[D.n]))]
+    # Each other branch moves a key a of src back to b: g = src - e_a + e_b
+    # with c = w g_b.  The ladder moves j to j - 1 with w = j.  Partial(i)
+    # raises n' - e_i to n' with w = n'_i, where n' = e_i has no source, and
+    # its ladder branch runs on h less the e_(e_i) that it adds.
+    moves = []
+    if isinstance(D, Partial):
+        unit = _unit_dir(D.i, cfg.d)
+        raised = [n for n, _ in h.n_entries() if n[D.i - 1] and n != unit]
+        moves = [(base, n, _tuple_sub(n, D.i), n[D.i - 1]) for n in raised]
+        base = {**base, unit: base[unit] - 1} if base.get(unit) else {}
+    moves += [(base, j, j - 1, j) for j in base if isinstance(j, int) and j]
+    out = []
+    for src, a, b, w in moves:
+        acc = src.copy()
+        acc[a] -= 1
+        acc[b] = acc.get(b, 0) + 1
+        out.append((_trusted(acc), Fraction(w * acc[b])))
     return out
 
 

@@ -503,8 +503,10 @@ def _letter_words(closure: list, budget_a: int, budget_c: int) -> list:
 _DUAL_LETTER_CACHE: dict = {}
 
 
-def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
-    """The coproduct dual to the btr star product, on a single letter."""
+def dual_coproduct_letter(x: LBasisKey, cfg: Config, closure: list | None = None) -> TensorElement:
+    """The coproduct dual to the btr star product, on a single letter.
+
+    closure is x's ``_letter_closure`` when the caller already has it."""
     hit = _DUAL_LETTER_CACHE.get((x, cfg))
     if hit is not None:
         return hit
@@ -513,7 +515,7 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
         out = TensorElement.single((x,), EMPTY_WORD) + TensorElement.single(EMPTY_WORD, (x,))
     else:
         terms = [(((x,), EMPTY_WORD), 1)]
-        closure = _letter_closure(x, cfg)
+        closure = closure or _letter_closure(x, cfg)
         ax, cx = _deg2(x)
         for y in closure:
             if not isinstance(y, Tilt):
@@ -530,11 +532,12 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
     return out
 
 
-def _closure_requirements(w: SymWord, cfg: Config) -> tuple:
+def _closure_requirements(w: SymWord, closures: dict, cfg: Config) -> tuple:
     """(word length, letter degree value) ceilings that completeness needs.
 
     Tensor legs multiply over the letters of w, so the length requirement is
-    the sum of the per-letter ones.
+    the sum of the per-letter ones.  closures maps each tilt of w to its
+    ``_letter_closure``.
     """
     need_len = 0
     max_deg = Fraction(0)
@@ -543,10 +546,9 @@ def _closure_requirements(w: SymWord, cfg: Config) -> tuple:
             need_len += 1
             max_deg = max(max_deg, Fraction(1))
             continue
-        closure = _letter_closure(x, cfg)
         ax, cx = _deg2(x)
         need_len += max(ax + cx - 1, 1)
-        for k in closure:
+        for k in closures[x]:
             max_deg = max(max_deg, key_degree(k).value(cfg))
     return need_len, max_deg
 
@@ -565,10 +567,12 @@ def dual_coproduct(
                 f"letter {print_l_key(x)} is outside the graded subalgebra; "
                 "its dual coproduct has infinitely many terms"
             )
+    closures: dict = {}  # each tilt's closure, computed once when bounds need it
     if trunc is not None and (
         trunc.max_word_len is not None or trunc.max_letter_degree is not None
     ):
-        need_len, need_deg = _closure_requirements(w, cfg)
+        closures = {x: _letter_closure(x, cfg) for x in set(w) if isinstance(x, Tilt)}
+        need_len, need_deg = _closure_requirements(w, closures, cfg)
         if trunc.max_word_len is not None and trunc.max_word_len < need_len:
             raise TruncationRefused(
                 f"word length bound {trunc.max_word_len} is below the required {need_len}"
@@ -579,7 +583,7 @@ def dual_coproduct(
             )
     out = TensorElement.single(EMPTY_WORD, EMPTY_WORD)
     for x in w:
-        out = tensor_poly_star(out, dual_coproduct_letter(x, cfg))
+        out = tensor_poly_star(out, dual_coproduct_letter(x, cfg, closures.get(x)))
     return out
 
 

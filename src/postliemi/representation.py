@@ -24,13 +24,16 @@ finds every (word u, source monomial beta) with
     < rho_bar_btr(u)(z^beta), z^target > != 0,
 
 reading the bracket as plain coefficient extraction, and reports the
-coefficient divided by the symmetry factor of u.  The search space is finite:
-tilt decorations must divide the target, the two-component degree is exactly
-additive, and that fixes the shift count and bounds beta.  A choice of tilts
-leaves a counting budget and a direction budget; the source parts that fill
-them and the spreads of the leftover shifts depend on nothing else, so they
-are built once per target and shared by every tilt choice.  Each candidate is
-still settled by evaluating ``rho_bar_word`` on it.
+coefficient divided by the symmetry factor of u.  Tilt decorations must
+divide the target and the two-component degree is exactly additive, which
+leaves finitely many words: a choice of tilts and a spread of at most as
+many shifts as the direction budget allows.  The sources are not searched
+for.  They are proposed by the adjoint: psi_word is a linear recursion, so
+its transpose (``_psi_adjoint``) is the same recursion with each derivation
+replaced by its transpose on monomials, applied in reverse order.  Applied
+to z^(target - front) once per word, it yields exactly the sources with a
+nonzero coefficient.  Each proposed source is then settled by evaluating
+``rho_bar_word`` on it.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from typing import Iterable, Sequence
 
 from .derivations import (
     Derivation,
+    _adjoint_monomial,
     apply as apply_derivation,
     apply_to_monomial,
     apply_word,
@@ -48,7 +52,7 @@ from .derivations import (
     diamond as derivation_diamond,
 )
 from .enveloping import STRUCT_BTR, Structure, SymElement, SymWord, _word_rank, sigma, sym_word
-from .multiindex import Config, MultiIndex, direction_keys, homogeneity, n_norm
+from .multiindex import Config, MultiIndex, homogeneity, n_norm
 from .polyalg import Polynomial
 from .postlie import (
     LBasisKey,
@@ -61,7 +65,7 @@ from .postlie import (
     pbw_rank,
     structural_rank,
 )
-from .walks import compositions, within_budget
+from .walks import compositions
 
 # -- letter and operator actions ---------------------------------------------
 
@@ -86,6 +90,13 @@ def rho_hat(seq: Sequence[LBasisKey], p: Polynomial, cfg: Config) -> Polynomial:
 _PSI_CACHE: dict = {}
 
 
+def _diamond_words(head: Derivation, rest: tuple):
+    """(rest with rest_i replaced by a term of head <> rest_i, its coefficient)."""
+    for i in range(len(rest)):
+        for dnew, c in derivation_diamond(head, rest[i]).terms:
+            yield rest[:i] + (dnew,) + rest[i + 1 :], c
+
+
 def psi_word(ds: tuple, g: MultiIndex, cfg: Config) -> Polynomial:
     key = (ds, g, cfg)
     hit = _PSI_CACHE.get(key)
@@ -98,11 +109,8 @@ def psi_word(ds: tuple, g: MultiIndex, cfg: Config) -> Polynomial:
     else:
         head, rest = ds[0], ds[1:]
         terms = list(apply_derivation(head, psi_word(rest, g, cfg), cfg).terms)
-        for i in range(len(rest)):
-            combo = derivation_diamond(head, rest[i])
-            for dnew, c in combo.terms:
-                repl = rest[:i] + (dnew,) + rest[i + 1 :]
-                terms.extend((h, -c * ch) for h, ch in psi_word(repl, g, cfg).terms)
+        for repl, c in _diamond_words(head, rest):
+            terms.extend((h, -c * ch) for h, ch in psi_word(repl, g, cfg).terms)
         out = Polynomial.from_terms(terms)
     _PSI_CACHE[key] = out
     return out
@@ -147,68 +155,68 @@ class Contribution:
     coeff: Fraction
 
 
+def _psi_adjoint(ds: tuple, h: MultiIndex, cfg: Config, memo: dict) -> dict:
+    """psi_word transposed: beta -> <psi_word(ds) z^beta, z^h>, zeros dropped.
+
+    Psi[D0 rest]^T = Psi[rest]^T o D0^T - sum_i Psi[rest with D0 <> rest_i]^T,
+    over the diamond terms of ``psi_word``.  memo is the caller's, keyed by
+    (ds, h) under one configuration.
+    """
+    key = (ds, h)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if not ds:
+        out = {h: Fraction(1)}
+    else:
+        head, rest = ds[0], ds[1:]
+        acc: dict = {}
+        for g, c in _adjoint_monomial(head, h, cfg):
+            for beta, cb in _psi_adjoint(rest, g, cfg, memo).items():
+                acc[beta] = acc.get(beta, 0) + c * cb
+        for repl, c in _diamond_words(head, rest):
+            for beta, cb in _psi_adjoint(repl, h, cfg, memo).items():
+                acc[beta] = acc.get(beta, 0) - c * cb
+        out = {beta: c for beta, c in acc.items() if c}
+    memo[key] = out
+    return out
+
+
 def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     """All (word, source, coefficient) triples of the coaction on z^target.
 
-    Exact and complete: candidate words are enumerated from divisibility and
-    degree bookkeeping, then every candidate coefficient is computed by
-    evaluating the action; zero candidates are dropped.  The candidate parts
-    depend on a tilt choice only through its degree bookkeeping, so the
-    counting parts, direction parts and shift-letter lists are built once
-    per target, keyed by their budgets, and shared by every tilt choice.
+    Exact and complete.  Tilt letters are chosen among the divisors of the
+    target, and the degree bookkeeping bounds the shift count.  For each
+    word u so formed, the transpose of its derivation action, applied to
+    z^(target - front), proposes exactly the sources with a nonzero
+    coefficient; each is settled by evaluating the action.  The transposes
+    are memoized for the length of this call only.
     """
     ht = homogeneity(target)
-    k_keys = [k for k, _ in target.k_entries()]
-    max_k = max(k_keys) if k_keys else -1
     letters = sorted(divisor_tilts(target, cfg), key=structural_rank)
-    k_parts: dict = {}  # counting budget -> source parts on K-keys
-    n_parts: dict = {}  # b budget -> [(part on direction keys, shifts left)]
-    shift_letters: dict = {}  # shift count -> every spread over the d shifts
     units = [Shift(i) for i in range(1, cfg.d + 1)]
+    memo: dict = {}
     results = []
 
-    def finish(tilts: list, used: MultiIndex):
-        rem = target.sub(used)
-        a_fix = homogeneity(rem).a
-        sum_norm = sum(n_norm(t.n) for t in tilts)
-        sum_b = sum(homogeneity(t.gamma).b for t in tilts)
-        b_budget = ht.b - sum_b + sum_norm
-        if b_budget < 0:
-            return
-        if a_fix not in k_parts:
-            k_parts[a_fix] = [
-                MultiIndex.from_dict(dict(enumerate(c))) for c in compositions(a_fix, max_k + 1)
-            ]
-        if b_budget not in n_parts:
-            weighted = [(n, n_norm(n)) for n in direction_keys(cfg.d, b_budget)]
-            n_parts[b_budget] = [
-                (MultiIndex.from_dict(acc), left)
-                for acc, left in within_budget(weighted, b_budget)
-            ]
-        for k_part in k_parts[a_fix]:
-            for n_part, m_total in n_parts[b_budget]:
-                beta = k_part + n_part
-                source = Polynomial.monomial(beta)
-                if m_total not in shift_letters:
-                    shift_letters[m_total] = [
-                        [x for x, m in zip(units, c) for _ in range(m)]
-                        for c in compositions(m_total, cfg.d)
-                    ]
-                for shifts in shift_letters[m_total]:
-                    u = sym_word(tilts + shifts)
-                    value = rho_bar_word(STRUCT_BTR, u, source, cfg)
+    def finish(tilts: list, rem: MultiIndex):
+        b_budget = ht.b - sum(homogeneity(t.gamma).b - n_norm(t.n) for t in tilts)
+        for m in range(b_budget + 1):
+            for spread in compositions(m, cfg.d):
+                u = sym_word(tilts + [x for x, k in zip(units, spread) for _ in range(k)])
+                ds = tuple(sorted((key_derivation(k) for k in u), key=derivation_rank))
+                for beta in _psi_adjoint(ds, rem, cfg, memo):
+                    value = rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg)
                     c = value.coeff(target)
                     if c != 0:
                         results.append(Contribution(u, beta, c / sigma(u)))
 
-    def choose(i: int, tilts: list, used: MultiIndex):
-        finish(tilts, used)
+    def choose(i: int, tilts: list, rem: MultiIndex):
+        finish(tilts, rem)
         for j in range(i, len(letters)):
-            g = letters[j].gamma
-            if target.try_sub(used + g) is None:
-                continue
-            choose(j, tilts + [letters[j]], used + g)
+            left = rem.try_sub(letters[j].gamma)
+            if left is not None:
+                choose(j, tilts + [letters[j]], left)
 
-    choose(0, [], MultiIndex.zero())
+    choose(0, [], target)
     results.sort(key=lambda r: (_word_rank(r.word), r.source.sort_rank()))
     return tuple(results)

@@ -180,17 +180,26 @@ def test_coaction_table(capsys):
     )
 
 
+def _pinned_table(d, cutoff, digest):
+    # the id names d and the digest, and the cutoff where it is not 2
+    name = f"{d}-{digest}" if cutoff == "2" else f"{d}-{cutoff}-{digest}"
+    return pytest.param(d, cutoff, digest, id=name)
+
+
 # sha256 of the whole stdout: the coaction tables at d=8 and d=3 are pinned
-# byte for byte
+# byte for byte, and so are the windows at cutoffs 3 (d=2) and 11/4 (d=3),
+# the first where words of two letters reach a target
 @pytest.mark.parametrize(
-    "d, digest",
+    "d, cutoff, digest",
     [
-        ("8", "258c71bfa79435b547b6655e1d4cf1468af8cf869dad30f8fa191e17b8da5e13"),
-        ("3", "f5913608de37abf14e1fd9f8c70a272e8231867e1176308e6caf23314800d548"),
+        _pinned_table("8", "2", "258c71bfa79435b547b6655e1d4cf1468af8cf869dad30f8fa191e17b8da5e13"),
+        _pinned_table("3", "2", "f5913608de37abf14e1fd9f8c70a272e8231867e1176308e6caf23314800d548"),
+        _pinned_table("2", "3", "5663a528ebcf1ec4d1f4a8c11ee8a73950a76c3f508c459121ef46edd6f2005e"),
+        _pinned_table("3", "11/4", "28f57851e8d9e3ef19f7a4f71e6d6ae81163b27b60e63741a42fb8faf87d8ef3"),
     ],
 )
-def test_coaction_tables_are_pinned(capsys, d, digest):
-    rc, out, _ = run(capsys, ["coaction", "--d", d, "--cutoff", "2"])
+def test_coaction_tables_are_pinned(capsys, d, cutoff, digest):
+    rc, out, _ = run(capsys, ["coaction", "--d", d, "--cutoff", cutoff])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

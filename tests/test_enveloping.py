@@ -401,6 +401,28 @@ def test_truncation_refusal_and_acceptance():
     assert dual_coproduct(target, CFG34, wide) == dual_coproduct(target, CFG34)
 
 
+def test_truncation_computes_each_letter_closure_once(monkeypatch):
+    import postliemi.enveloping as env
+
+    calls = []
+
+    def counting(x, cfg):
+        calls.append(x)
+        return closure(x, cfg)
+
+    closure = env._letter_closure
+    monkeypatch.setattr(env, "_letter_closure", counting)
+    monkeypatch.setattr(env, "_DUAL_LETTER_CACHE", {})  # every letter new
+    t10 = Tilt(MultiIndex.single(0, 2), (1, 0))
+    target = w(t10, Z0D0, Z0D0, P1)
+    wide = TruncationParams(max_word_len=9, max_letter_degree=Fraction(9))
+    bounded = dual_coproduct(target, CFG34, wide)
+    assert sorted(calls, key=structural_rank) == [Z0D0, t10]
+    monkeypatch.setattr(env, "_DUAL_LETTER_CACHE", {})
+    assert bounded == dual_coproduct(target, CFG34)
+    assert len(calls) == 4
+
+
 def test_dual_coproduct_matches_the_pair_scan():
     letters = brute_letters(Fraction(3, 2), CFG34)
     for target in [

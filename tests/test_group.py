@@ -145,6 +145,24 @@ def test_coaction_axiom_holds_on_the_window():
     assert check_coaction_axiom(targets, CFG34) == []
 
 
+def test_recentering_laws_hold_where_words_have_two_letters():
+    # At cutoff 3/2 every coaction word has one letter and every source a
+    # trivial coaction, so both laws are linear in each coefficient and a
+    # wrong one passes; at 9/4 two-letter words and nontrivial sources appear.
+    cutoff = Fraction(9, 4)
+    targets = enumerate_below_value(cutoff, CFG34)
+    assert len(targets) == 51
+    coaction = coaction_memo()
+    words = [con.word for g in targets for con in coaction(g, CFG34)]
+    assert any(len(w) == 2 for w in words)
+    rng = random.Random(17)
+    letters = support_letters(cutoff, CFG34)
+    for _ in range(5):
+        f1, f2 = sample_character(rng, letters), sample_character(rng, letters)
+        assert check_gamma_composition(f1, f2, targets, CFG34, coaction) == []
+    assert check_coaction_axiom(targets, CFG34, coaction) == []
+
+
 def test_multiplicativity_checker_reports_exact_differences():
     # The recentering map is not an algebra morphism here, so the checker
     # only reports; verify it reports precisely the failing pairs.

@@ -9,11 +9,20 @@ from hypothesis import strategies as st
 
 from postliemi.multiindex import Config, MultiIndex, homogeneity
 from postliemi.polyalg import Polynomial, grade_components
-from postliemi.derivations import DOp, Partial, apply_word, derivation_degree
+from postliemi.derivations import (
+    DOp,
+    Partial,
+    _adjoint_monomial,
+    apply_to_monomial,
+    apply_word,
+    derivation_degree,
+    diamond,
+)
 from postliemi.postlie import LElement, Shift, Tilt, grand_bracket
 from postliemi.enveloping import STRUCT_BTR, STRUCT_JZ, star_word, sym_word
 from postliemi.representation import (
     Contribution,
+    _psi_adjoint,
     coaction_contributions,
     psi_apply,
     rho,
@@ -22,7 +31,7 @@ from postliemi.representation import (
     rho_hat,
 )
 
-from oracles import brute_coaction, brute_rho_bar_word, brute_slice
+from oracles import brute_coaction, brute_psi_word, brute_rho_bar_word, brute_slice
 
 CFG = Config(2, Fraction(1, 2))
 CFG34 = Config(2, Fraction(3, 4))
@@ -163,6 +172,126 @@ def test_recursion_respects_the_grading(word, p):
     for h, part in grade_components(image).items():
         source = h - shift
         assert any(homogeneity(g) == source for g, _ in p.terms)
+
+
+# -- the transposed action ---------------------------------------------------
+#
+# <D z^g, z^h> read off both ways: the forward action from g, the adjoint
+# from h.  Every forward entry must appear in the adjoint with its
+# coefficient, and every adjoint entry must be confirmed by the forward action.
+
+ADJOINT_CASES = {
+    2: (
+        [Partial(1), Partial(2), DOp((0, 0)), DOp((1, 0)), DOp((0, 1)), DOp((1, 1)), DOp((2, 0))],
+        [(1, 0), (0, 1), (1, 1), (2, 0)],
+    ),
+    3: (
+        [Partial(1), Partial(3), DOp((0, 0, 0)), DOp((1, 0, 0)), DOp((0, 0, 1)), DOp((1, 0, 1))],
+        [(1, 0, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 2)],
+    ),
+}
+
+
+def adjoint_cfg(d):
+    return CFG34 if d == 2 else CFG3
+
+
+def _assert_transposed(D, h, cfg):
+    adj = _adjoint_monomial(D, h, cfg)
+    assert len({g for g, _ in adj}) == len(adj)
+    for g, c in adj:
+        assert c != 0 and dict(apply_to_monomial(D, g, cfg)).get(h) == c
+
+
+def _branch(D, g, h) -> str:
+    if isinstance(D, DOp):
+        return "lowering" if any(D.n) else "ladder"
+    return "shift ladder" if g.k_entries() != h.k_entries() else "shift raising"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_adjoint_monomial_transposes_every_branch(d):
+    derivations, _ = ADJOINT_CASES[d]
+    cfg = adjoint_cfg(d)
+    reached = set()
+    for g in brute_slice(Fraction(2), cfg):
+        for D in derivations:
+            for h, c in apply_to_monomial(D, g, cfg):
+                assert dict(_adjoint_monomial(D, h, cfg)).get(g) == c
+                _assert_transposed(D, h, cfg)
+                reached.add(_branch(D, g, h))
+            _assert_transposed(D, g, cfg)
+    assert reached == {"ladder", "lowering", "shift ladder", "shift raising"}
+
+
+@pytest.mark.parametrize(
+    "D, h, expect",
+    [
+        # ladder D(0): z_1 z_2 comes from z_0 z_2 (1 * 1) and from z_1^2 (2 * 2)
+        (DOp((0, 0)), {1: 1, 2: 1}, {(0, 2): 1, (1, 1): 4}),
+        # lowering D(n): z_0 comes from z_0 z_(1,0), coefficient g_(1,0) = 1
+        (DOp((1, 0)), {0: 1}, {(0, (1, 0)): 1}),
+        (DOp((1, 0)), {(1, 0): 1}, {((1, 0), (1, 0)): 2}),
+        # ladder branch of P1: the e_(e_1) it adds is taken off, then the ladder
+        (Partial(1), {1: 1, (1, 0): 1}, {(0,): 1}),
+        # raising branch of P1: n' = (2,0) comes from n = (1,0), coefficient n'_1 = 2
+        (Partial(1), {(2, 0): 1}, {((1, 0),): 2}),
+        (Partial(2), {(1, 1): 1, (1, 0): 1}, {((1, 0), (1, 0)): 2}),
+        # n' = e_1 would come from the zero vector, which is no key
+        (Partial(1), {(1, 0): 1}, {}),
+        (Partial(2), {(0, 1): 2}, {}),
+    ],
+)
+def test_adjoint_monomial_by_branch(D, h, expect):
+    h = MultiIndex.from_dict(h)
+    want = {}
+    for keys, c in expect.items():
+        g = MultiIndex.sum_of(MultiIndex.single(k) for k in keys)
+        want[g] = Fraction(c)
+    assert dict(_adjoint_monomial(D, h, CFG34)) == want
+    _assert_transposed(D, h, CFG34)
+
+
+def _adjoint_strategy(d):
+    derivations, directions = ADJOINT_CASES[d]
+    monomials = st.dictionaries(
+        st.one_of(st.integers(0, 2), st.sampled_from(directions)), st.integers(1, 2), max_size=3
+    ).map(MultiIndex.from_dict)
+    letters = st.sampled_from(derivations)
+    plain = st.tuples(st.lists(letters, max_size=3).map(tuple), monomials)
+    # Partial(i) ahead of a D(n) with n_i > 0, where the diamond term
+    # D(n - e_i) lives, on a source that neither D(n) nor D(n - e_i) kills
+    pairs = [(P, D) for P in derivations for D in derivations if diamond(P, D).terms]
+    shift_first = st.tuples(st.sampled_from(pairs), st.lists(letters, max_size=1), monomials).map(
+        _diamond_case
+    )
+    return st.tuples(st.one_of(plain, shift_first), monomials).map(lambda t: (*t[0], t[1]))
+
+
+def _acted_on(D):
+    """A monomial that D does not kill: z_0 for the ladder, z_n for D(n)."""
+    return MultiIndex.single(D.n if any(D.n) else 0)
+
+
+def _diamond_case(drawn):
+    (P, D), extra, base = drawn
+    lowered = diamond(P, D).terms[0][0]
+    return (P, D, *extra), base + _acted_on(D) + _acted_on(lowered)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_psi_adjoint_is_the_transpose_of_the_recursion(d, data):
+    ds, beta, gamma = data.draw(_adjoint_strategy(d))
+    cfg = adjoint_cfg(d)
+    memo: dict = {}
+    image = brute_psi_word(ds, beta, cfg)
+    for h in [h for h, _ in image.terms] + [gamma]:
+        adj = _psi_adjoint(ds, h, cfg, memo)
+        assert adj.get(beta, 0) == image.coeff(h)
+        for source, c in adj.items():
+            assert c != 0 and brute_psi_word(ds, source, cfg).coeff(h) == c
 
 
 # -- against the unmemoized evaluator ---------------------------------------
