@@ -11,7 +11,7 @@ plus the geometric residuals (``postlie``), coordinate structure constants
 straightening, the dual coproduct (``enveloping``), the operator
 representations and the coaction enumeration (``representation``),
 characters and recentering maps (``group``), and the named verification
-suites (``suites``).
+suites (``suites``).  ``clear_memos`` frees the process-wide memo tables.
 """
 
 from .multiindex import Config, HomDegree, MultiIndex, enumerate_below_value, homogeneity
@@ -70,8 +70,18 @@ from .group import (
     sample_character,
 )
 from .suites import SUITES, SuiteResult, run_suite
+from . import enveloping, representation
 
 __version__ = "0.1.0"
+
+
+def clear_memos() -> None:
+    """Empty the process-wide memo tables; later results are the same."""
+    enveloping._ACTION_CACHE.clear()
+    enveloping._DUAL_LETTER_CACHE.clear()
+    representation._PSI_CACHE.clear()
+    representation._PSI_ADJOINT_CACHE.clear()
+
 
 __all__ = [
     "Config",
@@ -138,5 +148,6 @@ __all__ = [
     "SUITES",
     "SuiteResult",
     "run_suite",
+    "clear_memos",
     "__version__",
 ]

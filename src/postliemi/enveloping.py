@@ -30,12 +30,12 @@ that symmetry factor.  ``dual_coproduct`` computes the coproduct dual to
 
     D(x) = x (x) 1 + sum_{u, y} <u > y, x> / sigma(u)  u (x) y
 
-on letters, extended multiplicatively to words.  Letters must lie in the
-graded subalgebra (``in_L``): there the contributing set is provably finite
-and is found by a breadth-first un-grafting closure, every candidate being
-confirmed by exact evaluation.  Outside that subalgebra the sum is genuinely
+on letters, extended multiplicatively to words.  A shift is primitive; the
+terms of a tilt z^gamma D^(n) are read from the coaction on z^gamma.  Letters
+must lie in the graded subalgebra (``in_L``): outside it the sum is genuinely
 infinite, so membership is a precondition rather than a limitation of the
-implementation.
+implementation.  The un-grafting closure of a letter only checks truncation
+bounds against what completeness requires.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .combination import Combination
 from .errors import ParseError, TruncationRefused
-from .multiindex import Config, MultiIndex
+from .multiindex import Config, MultiIndex, hom_value, n_norm
 from .postlie import (
     LBasisKey,
     LElement,
@@ -66,7 +66,7 @@ from .postlie import (
     zero_op,
 )
 from .text import print_sum
-from .walks import splits
+from .walks import compositions, splits
 
 SymWord = Tuple[LBasisKey, ...]  # letters sorted by structural_rank
 
@@ -407,10 +407,9 @@ def _deg2(key: LBasisKey) -> tuple:
 def _ungraft_moves(zeta: Tilt, cfg: Config) -> list:
     """Candidate (letter, receiver) pairs whose product can contain zeta.
 
-    Purely structural over-approximation: every returned pair is later
-    confirmed or discarded by exact evaluation, so extra candidates cost time
-    but never correctness.  Missing ones would be a bug; the enumeration
-    below walks every letter shape that the product rules can consume.
+    Purely structural over-approximation, used only to bound truncations:
+    extra candidates can only raise the requirements.  The enumeration below
+    walks every letter shape that the product rules can consume.
     """
     out = []
     gz, nz = zeta.gamma, zeta.n
@@ -471,42 +470,18 @@ def _letter_closure(x: LBasisKey, cfg: Config) -> list:
     return sorted(seen, key=structural_rank)
 
 
-def _letter_words(closure: list, budget_a: int, budget_c: int) -> list:
-    """Multisets over the closure whose degree pairs add to the exact budget.
-
-    Letters carry (a, c) with a >= 0 and a + c >= 1, so words are at most
-    budget_a + budget_c letters long and the recursion stops quickly.
-    """
-    degs = [_deg2(k) for k in closure]
-    out: list = []
-
-    def rec(i: int, rem_a: int, rem_c: int, acc: list):
-        if rem_a == 0 and rem_c == 0:
-            out.append(tuple(acc))
-        if i == len(closure):
-            return
-        if rem_a + rem_c <= 0:
-            return
-        a, c = degs[i]
-        m = 0
-        while True:
-            na, nc = rem_a - m * a, rem_c - m * c
-            if na < 0 or na + nc < 0:
-                break
-            rec(i + 1, na, nc, acc + [closure[i]] * m)
-            m += 1
-
-    rec(0, budget_a, budget_c, [])
-    return [sym_word(w) for w in out if w]
-
-
 _DUAL_LETTER_CACHE: dict = {}
 
 
-def dual_coproduct_letter(x: LBasisKey, cfg: Config, closure: list | None = None) -> TensorElement:
+def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
     """The coproduct dual to the btr star product, on a single letter.
 
-    closure is x's ``_letter_closure`` when the caller already has it."""
+    For a tilt x = z^gamma D^(n), each term s (x) z^beta of the coaction on
+    z^gamma gives the pairs u = s plus t_i more shifts P_i, y = z^beta
+    D^(n + t), for each t with |n + t| < |beta|.  Those shifts act on
+    D^(n + t) alone, each P_i lowering it by e_i with factor -(n_i + t_i),
+    in C(s_i + t_i, t_i) ways.
+    """
     hit = _DUAL_LETTER_CACHE.get((x, cfg))
     if hit is not None:
         return hit
@@ -514,19 +489,26 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config, closure: list | None = None
         # primitive: x (x) 1 + 1 (x) x
         out = TensorElement.single((x,), EMPTY_WORD) + TensorElement.single(EMPTY_WORD, (x,))
     else:
+        # deferred: representation imports this module
+        from .representation import coaction_contributions
+
+        units = [Shift(i) for i in range(1, cfg.d + 1)]
         terms = [(((x,), EMPTY_WORD), 1)]
-        closure = closure or _letter_closure(x, cfg)
-        ax, cx = _deg2(x)
-        for y in closure:
-            if not isinstance(y, Tilt):
-                continue  # nothing acts nontrivially on a bare shift
-            ay, cy = _deg2(y)
-            for u in [EMPTY_WORD] + _letter_words(closure, ax - ay, cx - cy):
-                acted = ext_action_word(STRUCT_BTR, u, (y,), cfg)
-                c = acted.coeff((x,))
-                if c != 0:
+        for r in coaction_contributions(x.gamma, cfg):
+            if not all(key_in_L(k, cfg) for k in r.word):
+                continue  # u must lie in the graded subalgebra
+            counts = [r.word.count(p) for p in units]
+            raw = r.coeff * sigma(r.word)
+            spare = math.ceil(hom_value(r.source, cfg)) - 1 - n_norm(x.n)  # |n + t| < |beta|
+            for m in range(spare + 1):
+                for t in compositions(m, cfg.d):
+                    c = raw * math.prod(
+                        math.comb(s + k, k) * math.perm(n + k, k) for s, k, n in zip(counts, t, x.n)
+                    )
+                    u = sym_word(r.word + tuple(p for p, k in zip(units, t) for _ in range(k)))
+                    y = Tilt(r.source, tuple(a + b for a, b in zip(x.n, t)))
                     # c is a Fraction, so the division stays exact
-                    terms.append(((u, (y,)), c / sigma(u)))
+                    terms.append(((u, (y,)), (-1) ** m * c / sigma(u)))
         out = TensorElement.from_terms(terms)
     _DUAL_LETTER_CACHE[(x, cfg)] = out
     return out
@@ -567,7 +549,6 @@ def dual_coproduct(
                 f"letter {print_l_key(x)} is outside the graded subalgebra; "
                 "its dual coproduct has infinitely many terms"
             )
-    closures: dict = {}  # each tilt's closure, computed once when bounds need it
     if trunc is not None and (
         trunc.max_word_len is not None or trunc.max_letter_degree is not None
     ):
@@ -583,7 +564,7 @@ def dual_coproduct(
             )
     out = TensorElement.single(EMPTY_WORD, EMPTY_WORD)
     for x in w:
-        out = tensor_poly_star(out, dual_coproduct_letter(x, cfg, closures.get(x)))
+        out = tensor_poly_star(out, dual_coproduct_letter(x, cfg))
     return out
 
 

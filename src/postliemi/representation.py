@@ -33,7 +33,8 @@ its transpose (``_psi_adjoint``) is the same recursion with each derivation
 replaced by its transpose on monomials, applied in reverse order.  Applied
 to z^(target - front) once per word, it yields exactly the sources with a
 nonzero coefficient.  Each proposed source is then settled by evaluating
-``rho_bar_word`` on it.
+``rho_bar_word`` on it.  The transposes are memoized as long as psi_word.
+The dual coproduct of a letter is read from the same coaction.
 """
 
 from __future__ import annotations
@@ -155,15 +156,17 @@ class Contribution:
     coeff: Fraction
 
 
-def _psi_adjoint(ds: tuple, h: MultiIndex, cfg: Config, memo: dict) -> dict:
+_PSI_ADJOINT_CACHE: dict = {}
+
+
+def _psi_adjoint(ds: tuple, h: MultiIndex, cfg: Config) -> dict:
     """psi_word transposed: beta -> <psi_word(ds) z^beta, z^h>, zeros dropped.
 
     Psi[D0 rest]^T = Psi[rest]^T o D0^T - sum_i Psi[rest with D0 <> rest_i]^T,
-    over the diamond terms of ``psi_word``.  memo is the caller's, keyed by
-    (ds, h) under one configuration.
+    over the diamond terms of ``psi_word``, and memoized like it.
     """
-    key = (ds, h)
-    hit = memo.get(key)
+    key = (ds, h, cfg)
+    hit = _PSI_ADJOINT_CACHE.get(key)
     if hit is not None:
         return hit
     if not ds:
@@ -172,13 +175,13 @@ def _psi_adjoint(ds: tuple, h: MultiIndex, cfg: Config, memo: dict) -> dict:
         head, rest = ds[0], ds[1:]
         acc: dict = {}
         for g, c in _adjoint_monomial(head, h, cfg):
-            for beta, cb in _psi_adjoint(rest, g, cfg, memo).items():
+            for beta, cb in _psi_adjoint(rest, g, cfg).items():
                 acc[beta] = acc.get(beta, 0) + c * cb
         for repl, c in _diamond_words(head, rest):
-            for beta, cb in _psi_adjoint(repl, h, cfg, memo).items():
+            for beta, cb in _psi_adjoint(repl, h, cfg).items():
                 acc[beta] = acc.get(beta, 0) - c * cb
         out = {beta: c for beta, c in acc.items() if c}
-    memo[key] = out
+    _PSI_ADJOINT_CACHE[key] = out
     return out
 
 
@@ -189,13 +192,11 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     target, and the degree bookkeeping bounds the shift count.  For each
     word u so formed, the transpose of its derivation action, applied to
     z^(target - front), proposes exactly the sources with a nonzero
-    coefficient; each is settled by evaluating the action.  The transposes
-    are memoized for the length of this call only.
+    coefficient; each is settled by evaluating the action.
     """
     ht = homogeneity(target)
     letters = sorted(divisor_tilts(target, cfg), key=structural_rank)
     units = [Shift(i) for i in range(1, cfg.d + 1)]
-    memo: dict = {}
     results = []
 
     def finish(tilts: list, rem: MultiIndex):
@@ -204,7 +205,7 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
             for spread in compositions(m, cfg.d):
                 u = sym_word(tilts + [x for x, k in zip(units, spread) for _ in range(k)])
                 ds = tuple(sorted((key_derivation(k) for k in u), key=derivation_rank))
-                for beta in _psi_adjoint(ds, rem, cfg, memo):
+                for beta in _psi_adjoint(ds, rem, cfg):
                     value = rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg)
                     c = value.coeff(target)
                     if c != 0:
@@ -212,8 +213,12 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
 
     def choose(i: int, tilts: list, rem: MultiIndex):
         finish(tilts, rem)
+        gamma = left = None
         for j in range(i, len(letters)):
-            left = rem.try_sub(letters[j].gamma)
+            # the letters of one decoration are adjacent: one subtraction each
+            if letters[j].gamma != gamma:
+                gamma = letters[j].gamma
+                left = rem.try_sub(gamma)
             if left is not None:
                 choose(j, tilts + [letters[j]], left)
 

@@ -107,6 +107,43 @@ def test_dual_coproduct_of_a_letter(capsys):
     assert out == "1 1 (x) [z{k0:1}xD(0,0)]\n1 [z{k0:1}xD(0,0)] (x) 1\n"
 
 
+# sha256 of the whole stdout, recorded when each term came from a scan of the
+# words over an un-grafting closure
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["[z{k0:3,k1:1,(1,0):1}xD(1,0)]", "--alpha", "1/2"],
+            "ff3b71958de8c2d49e92b0de826afecc0015dfd09e62854cf5e01fa09bd6e460",
+        ),
+        (
+            ["[z{k0:2,(1,0,0,0,0,0,0,0):1}xD(1,0,0,0,0,0,0,0)]", "--d", "8", "--alpha", "3/4"],
+            "a0cea80f46b8c87b798e147d5dea1328c281b41444d7622e8ef520a47b6a1f09",
+        ),
+        (
+            ["[z{k0:2,k1:1,(1,0,0):1}xD(1,0,0)]", "--d", "3", "--alpha", "1/2"],
+            "09a563b14192d1165f57f7fd76d0979f0f4abf6300ff20036e4486c2ce3286de",
+        ),
+        (
+            ["[z{k0:2,(1,0):2}xD(2,0)][P1]", "--alpha", "3/4", "--json"],
+            "dc478dd4a1ea4294f4de628690e9929fa1ea4ac5117553c8d0c32691a8abbc09",
+        ),
+    ],
+    ids=["d2-1/2", "d8-3/4", "d3-1/2", "word-json"],
+)
+def test_dual_coproducts_are_pinned(capsys, argv, digest):
+    rc, out, _ = run(capsys, ["dual-coproduct"] + argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dual_coproduct_of_a_two_direction_letter_at_d8(capsys):
+    letter = "[z{k0:2,(1,0,0,0,0,0,0,0):1,(0,1,0,0,0,0,0,0):1}xD(1,1,0,0,0,0,0,0)]"
+    rc, out, _ = run(capsys, ["dual-coproduct", letter, "--d", "8", "--alpha", "3/4"])
+    assert rc == 0
+    assert len(out.splitlines()) == 270
+
+
 def test_dual_coproduct_refuses_tight_truncation(capsys):
     rc, _, err = run(
         capsys,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from postliemi.derivations import DOp, DerivationCombo, Partial, derivation_rank
 from postliemi.errors import TruncationRefused
-from postliemi.multiindex import Config, MultiIndex
+from postliemi.multiindex import Config, MultiIndex, hom_value
 from postliemi.polyalg import Polynomial
 from postliemi.postlie import (
     LElement,
@@ -20,6 +20,7 @@ from postliemi.postlie import (
     basis_pool,
     bracket,
     btr,
+    parse_l_key,
     pbw_rank,
     structural_rank,
     triangleright,
@@ -420,7 +421,7 @@ def test_truncation_computes_each_letter_closure_once(monkeypatch):
     assert sorted(calls, key=structural_rank) == [Z0D0, t10]
     monkeypatch.setattr(env, "_DUAL_LETTER_CACHE", {})
     assert bounded == dual_coproduct(target, CFG34)
-    assert len(calls) == 4
+    assert len(calls) == 2  # the exact path computes no closure
 
 
 def test_dual_coproduct_matches_the_pair_scan():
@@ -484,6 +485,113 @@ def test_dual_coproduct_matches_the_pair_scan_at_d3(alpha, max_gamma, letters):
     assert got == expect
     if len(letters) > 1:
         assert len(got) > 2  # more than the primitive part 1 (x) w + w (x) 1
+
+
+# -- the dual coproduct read from the coaction of the decoration --------------
+
+
+def _extra_shift_terms(t, x):
+    """Terms u (x) z^beta D^(n + t) with t != 0: u holds shifts that act on
+    the lowering order of the right letter alone."""
+    return [(u, y) for (u, y), _ in t.terms if y and y[0].n != x.n]
+
+
+def _ids(v):
+    if isinstance(v, Config):
+        return f"d{v.d}-{v.alpha}"
+    if isinstance(v, bool):
+        return "split-shifts" if v else "whole-shifts"
+    return v
+
+
+# every letter of a contributing pair has a decoration of degree at most
+# |gamma| and counting keys no higher than gamma's, so this alphabet is whole
+@pytest.mark.parametrize(
+    "cfg,text",
+    [(CFG, t) for t in ["z{k0:1,(1,0):1}xD(0,0)", "z{k2:1,(0,1):1}xD(0,0)"]]
+    + [
+        (CFG34, t)
+        for t in [
+            "z{k0:1,k1:1}xD(0,0)",
+            "z{k0:2}xD(0,0)",
+            "z{k1:1,k2:1}xD(0,0)",
+            "z{k1:2}xD(0,0)",
+            "z{k0:1,k3:1}xD(0,0)",
+            "z{k0:1,(0,1):1}xD(0,0)",
+            "z{k1:1,(1,0):1}xD(0,0)",
+            "z{k2:1,(0,1):1}xD(0,0)",
+        ]
+    ]
+    + [
+        (Config(3, Fraction(3, 4)), t)
+        for t in [
+            "z{k0:1,k1:1}xD(0,0,0)",
+            "z{k0:1,k2:1}xD(0,0,0)",
+            "z{k0:2}xD(0,0,0)",
+            "z{k1:1,k2:1}xD(0,0,0)",
+            "z{k1:2}xD(0,0,0)",
+        ]
+    ],
+    ids=_ids,
+)
+def test_dual_coproduct_with_extra_shifts_matches_the_pair_scan(cfg, text):
+    x = parse_l_key(text, cfg.d)
+    got = dual_coproduct((x,), cfg)
+    assert _extra_shift_terms(got, x)
+    max_k = max((k for k, _ in x.gamma.k_entries()), default=-1)
+    letters = brute_letters(hom_value(x.gamma, cfg), cfg, max_k)
+    assert {pair: c for pair, c in got.terms} == brute_dual_coproduct((x,), letters, cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg,text,binomial",
+    [
+        # the recursion over an un-grafting closure overflowed the stack here
+        (
+            Config(8, Fraction(3, 4)),
+            "z{k0:2,(1,0,0,0,0,0,0,0):1,(0,1,0,0,0,0,0,0):1}xD(1,1,0,0,0,0,0,0)",
+            False,
+        ),
+        # words whose shifts split between the coaction word and the lowering
+        (CFG, "z{k0:1,(1,1):1}xD(0,0)", True),
+        (CFG, "z{k0:2,k1:1,(1,0):1}xD(0,0)", True),
+    ],
+    ids=_ids,
+)
+def test_each_dual_coproduct_term_is_its_defining_pairing(cfg, text, binomial):
+    x = parse_l_key(text, cfg.d)
+    got = dual_coproduct((x,), cfg)
+    assert got.coeff((x,), ()) == 1
+    split = False
+    for (u, y), c in got.terms:
+        if y:
+            assert c == ext_action_word(STRUCT_BTR, u, y, cfg).coeff((x,)) / sigma(u)
+            t = [a - b for a, b in zip(y[0].n, x.n)]
+            split |= any(t_i and u.count(Shift(i + 1)) > t_i for i, t_i in enumerate(t))
+    assert _extra_shift_terms(got, x)
+    assert split == binomial
+
+
+def test_clear_memos_empties_every_table_and_keeps_results():
+    import postliemi
+    import postliemi.enveloping as env
+    import postliemi.representation as rep
+    from postliemi.representation import coaction_contributions
+
+    def compute():
+        x = parse_l_key("z{k0:2,(1,0):1}xD(0,0)", 2)
+        return (
+            dual_coproduct((x, P1), CFG34),
+            coaction_contributions(MultiIndex.from_dict({0: 2, (1, 0): 1}), CFG34),
+            star(STRUCT_BTR, elem(x), elem(Z0D10), CFG34),
+        )
+
+    tables = [env._ACTION_CACHE, env._DUAL_LETTER_CACHE, rep._PSI_CACHE, rep._PSI_ADJOINT_CACHE]
+    before = compute()
+    assert all(tables)
+    postliemi.clear_memos()
+    assert not any(tables)
+    assert compute() == before
 
 
 # -- text form ---------------------------------------------------------------

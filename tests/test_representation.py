@@ -285,10 +285,9 @@ def _diamond_case(drawn):
 def test_psi_adjoint_is_the_transpose_of_the_recursion(d, data):
     ds, beta, gamma = data.draw(_adjoint_strategy(d))
     cfg = adjoint_cfg(d)
-    memo: dict = {}
     image = brute_psi_word(ds, beta, cfg)
     for h in [h for h, _ in image.terms] + [gamma]:
-        adj = _psi_adjoint(ds, h, cfg, memo)
+        adj = _psi_adjoint(ds, h, cfg)
         assert adj.get(beta, 0) == image.coeff(h)
         for source, c in adj.items():
             assert c != 0 and brute_psi_word(ds, source, cfg).coeff(h) == c
