@@ -21,7 +21,12 @@ of the enveloping algebra.
 
 Combinations of words and of word pairs are ``Combination``s: each sum of
 scaled pieces below is merged once (``from_terms``, ``sum_of``), never
-folded with ``+``.
+folded with ``+``.  Word products merge once per public result:
+``Structure.mul``, ``star_word``, ``star`` and the splitting branch of
+``ext_action_word`` add every term into one plain dict and sort it at the
+end.  A concatenation whose inverted letters all commute is sorted, not
+rewritten; only a tilt z^gamma D^(n) standing before a shift P_i with
+n_i != 0 sends a jz product through ``pbw_normal_form``.
 
 Duality: ``pairing`` satisfies <w, w> = prod m_i! on a word with letter
 multiplicities m_i, zero on distinct words; ``tmap`` multiplies each word by
@@ -53,8 +58,12 @@ from .postlie import (
     LElement,
     Shift,
     Tilt,
+    _diamond_kernel,
+    _keys_commute,
+    _tri_kernel,
     bracket,
     btr,
+    check_key_dim,
     divisor_tilts,
     key_degree,
     key_in_L,
@@ -111,10 +120,6 @@ class SymElement(Combination):
     @staticmethod
     def unit() -> "SymElement":
         return _SE_UNIT
-
-    @classmethod
-    def from_l(cls, x: LElement) -> "SymElement":
-        return cls.from_terms(((k,), c) for k, c in x.terms)
 
 
 _SE_UNIT = SymElement(((EMPTY_WORD, Fraction(1)),))
@@ -185,16 +190,12 @@ class Structure:
         return bracket if self.name == "jz" else zero_op
 
     def mul_words(self, w1: SymWord, w2: SymWord, cfg: Config) -> SymElement:
-        if self.name == "btr":
-            return SymElement.single(sym_word(w1 + w2))
-        return pbw_normal_form(w1 + w2, self.lie, cfg)
+        return self.mul(SymElement.single(w1), SymElement.single(w2), cfg)
 
     def mul(self, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
-        if self.name == "btr":
-            return poly_star(u, v)
-        return SymElement.sum_of(
-            (self.mul_words(w1, w2, cfg), c1 * c2) for w1, c1 in u.terms for w2, c2 in v.terms
-        )
+        acc: dict = {}
+        _mul_into(acc, self, u.terms, v.terms, 1, cfg)
+        return SymElement.from_terms(acc.items())
 
 
 STRUCT_JZ = Structure("jz")
@@ -274,6 +275,39 @@ def pbw_normal_form(
     return SymElement.from_terms(done.items())
 
 
+def _sorts_freely(seq: tuple) -> bool:
+    """Whether straightening seq only sorts it.  PBW order puts every shift
+    before every tilt, so the only inverted pairs that can bracket to nonzero
+    are a tilt before a shift; true when each of those commutes."""
+    return all(
+        _keys_commute(x, y)
+        for i, x in enumerate(seq)
+        if isinstance(x, Tilt)
+        for y in seq[i + 1 :]
+        if isinstance(y, Shift)
+    )
+
+
+def _mul_into(acc: dict, struct: Structure, u_terms, v_terms, scale, cfg: Config) -> None:
+    """acc += scale * u * v for the words of u and v given by their terms.
+
+    A concatenation whose inverted letters all commute is sorted, not
+    rewritten: with the btr structure always, with jz unless
+    ``_sorts_freely`` says otherwise.
+    """
+    jz = struct.name == "jz"
+    for w1, c1 in u_terms:
+        c1 *= scale
+        for w2, c2 in v_terms:
+            seq = w1 + w2
+            if jz and not _sorts_freely(seq):
+                c = c1 * c2
+                for w, cw in pbw_normal_form(seq, struct.lie, cfg).terms:
+                    _add_into(acc, w, c * cw)
+            else:
+                _add_into(acc, sym_word(seq), c1 * c2)
+
+
 # -- Guin-Oudom extension ----------------------------------------------------
 
 _ACTION_CACHE: dict = {}
@@ -295,7 +329,13 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
     elif not v:
         out = SymElement.zero()  # counit of a nonempty word
     elif len(u) == 1 and len(v) == 1:
-        out = SymElement.from_l(struct.prod(LElement.single(u[0]), LElement.single(v[0]), cfg))
+        kx, ky = u[0], v[0]
+        check_key_dim(kx, cfg.d)
+        check_key_dim(ky, cfg.d)
+        terms = _tri_kernel(kx, ky, cfg)
+        if struct.name == "btr":
+            terms = terms + _diamond_kernel(kx, ky, cfg)
+        out = SymElement.from_terms(((k,), c) for k, c in terms)
     elif len(v) == 1:
         x, rest = u[0], u[1:]
         inner = ext_action_word(struct, rest, v, cfg)
@@ -305,12 +345,13 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
         out = first - second
     else:
         y, rest = (v[0],), v[1:]
-        parts = []
+        acc: dict = {}
         for u1, u2, mult in splits(word_mults(u)):
             left = ext_action_word(struct, u1, y, cfg)
-            right = ext_action_word(struct, u2, rest, cfg)
-            parts.append((struct.mul(left, right, cfg), mult))
-        out = SymElement.sum_of(parts)
+            if left.terms:
+                right = ext_action_word(struct, u2, rest, cfg)
+                _mul_into(acc, struct, left.terms, right.terms, mult, cfg)
+        out = SymElement.from_terms(acc.items())
     _ACTION_CACHE[key] = out
     return out
 
@@ -323,17 +364,25 @@ def ext_action_elem(
     )
 
 
+def _star_into(acc: dict, struct: Structure, u: SymWord, v: SymWord, scale, cfg: Config) -> None:
+    """acc += scale * (u * v): the sum of u^(1) (u^(2) > v) over the splits of u."""
+    for u1, u2, mult in splits(word_mults(u)):
+        acted = ext_action_word(struct, u2, v, cfg)
+        _mul_into(acc, struct, ((u1, 1),), acted.terms, scale * mult, cfg)
+
+
 def star_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> SymElement:
-    return SymElement.sum_of(
-        (struct.mul(SymElement.single(u1), ext_action_word(struct, u2, v, cfg), cfg), mult)
-        for u1, u2, mult in splits(word_mults(u))
-    )
+    acc: dict = {}
+    _star_into(acc, struct, u, v, 1, cfg)
+    return SymElement.from_terms(acc.items())
 
 
 def star(struct: Structure, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
-    return SymElement.sum_of(
-        (star_word(struct, wu, wv, cfg), cu * cv) for wu, cu in u.terms for wv, cv in v.terms
-    )
+    acc: dict = {}
+    for wu, cu in u.terms:
+        for wv, cv in v.terms:
+            _star_into(acc, struct, wu, wv, cu * cv, cfg)
+    return SymElement.from_terms(acc.items())
 
 
 def tensor_componentwise(word_mul, t1: TensorElement, t2: TensorElement) -> TensorElement:
@@ -494,9 +543,9 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
 
         units = [Shift(i) for i in range(1, cfg.d + 1)]
         terms = [(((x,), EMPTY_WORD), 1)]
+        # every coaction word lies in the graded subalgebra: its tilts come
+        # from divisor_tilts and its shifts are P_1..P_d
         for r in coaction_contributions(x.gamma, cfg):
-            if not all(key_in_L(k, cfg) for k in r.word):
-                continue  # u must lie in the graded subalgebra
             counts = [r.word.count(p) for p in units]
             raw = r.coeff * sigma(r.word)
             spare = math.ceil(hom_value(r.source, cfg)) - 1 - n_norm(x.n)  # |n + t| < |beta|

@@ -251,6 +251,20 @@ def _bracket_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
     return _tensor_decoration(kx, ky, compose_commutator(key_derivation(kx), key_derivation(ky)))
 
 
+def _keys_commute(kx: LBasisKey, ky: LBasisKey) -> bool:
+    """Whether the bracket of two keys is zero, read off their shapes.
+
+    [D1, D2] vanishes unless one factor is Partial(i) and the other DOp(n)
+    with n_i != 0 (``compose_commutator``), so two tilts or two shifts always
+    commute.  A shift beyond a tilt's dimension is not claimed to commute:
+    the bracket refuses that pair.
+    """
+    if isinstance(kx, Shift) is isinstance(ky, Shift):
+        return True
+    tilt, shift = (ky, kx) if isinstance(kx, Shift) else (kx, ky)
+    return shift.i <= len(tilt.n) and not tilt.n[shift.i - 1]
+
+
 def _diamond_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
     return _tensor_decoration(kx, ky, derivation_diamond(key_derivation(kx), key_derivation(ky)))
 

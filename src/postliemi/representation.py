@@ -27,10 +27,14 @@ reading the bracket as plain coefficient extraction, and reports the
 coefficient divided by the symmetry factor of u.  Tilt decorations must
 divide the target and the two-component degree is exactly additive, which
 leaves finitely many words: a choice of tilts and a spread of at most as
-many shifts as the direction budget allows.  The sources are not searched
-for.  They are proposed by the adjoint: psi_word is a linear recursion, so
-its transpose (``_psi_adjoint``) is the same recursion with each derivation
-replaced by its transpose on monomials, applied in reverse order.  Applied
+many shifts as the direction budget allows.  The shifts are spread only over
+live directions, those i that occur in a direction key of z^(target - front)
+or in the n of a chosen tilt: the transpose of Partial(i) needs direction i
+in the monomial, P_i <> D(m) needs m_i > 0, and no adjoint step brings in a
+direction that was in neither.  The sources are not searched for.  They are
+proposed by the adjoint: psi_word is a linear recursion, so its transpose
+(``_psi_adjoint``) is the same recursion with each derivation replaced by
+its transpose on monomials, applied in reverse order.  Applied
 to z^(target - front) once per word, it yields exactly the sources with a
 nonzero coefficient.  Each proposed source is then settled by evaluating
 ``rho_bar_word`` on it.  The transposes are memoized as long as psi_word.
@@ -201,9 +205,14 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
 
     def finish(tilts: list, rem: MultiIndex):
         b_budget = ht.b - sum(homogeneity(t.gamma).b - n_norm(t.n) for t in tilts)
+        # a shift in any other direction acts as zero (module docstring)
+        live = sorted(
+            {i for nkey, _ in rem.n_entries() for i, a in enumerate(nkey) if a}
+            | {i for t in tilts for i, a in enumerate(t.n) if a}
+        )
         for m in range(b_budget + 1):
-            for spread in compositions(m, cfg.d):
-                u = sym_word(tilts + [x for x, k in zip(units, spread) for _ in range(k)])
+            for spread in compositions(m, len(live)):
+                u = sym_word(tilts + [units[i] for i, k in zip(live, spread) for _ in range(k)])
                 ds = tuple(sorted((key_derivation(k) for k in u), key=derivation_rank))
                 for beta in _psi_adjoint(ds, rem, cfg):
                     value = rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg)

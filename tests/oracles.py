@@ -14,6 +14,9 @@ ground truth for single candidates.  Words act on polynomials through
 ``brute_rho_bar_word`` below, which recomputes every branch of the psi
 recursion, folds every sum with + and multiplies the decorations of a word
 letter by letter, so it shares no memo and no merge with the library.
+Words act on words through ``brute_ext_action_word``, the Guin-Oudom
+recursion with the same discipline, its letters multiplied by the public
+letter product of the structure (``triangleright`` or ``btr``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from postliemi.multiindex import (
     n_norm,
 )
 from postliemi.polyalg import Polynomial
-from postliemi.postlie import LElement, Shift, Tilt, key_derivation, key_poly
+from postliemi.postlie import LElement, Shift, Tilt, bracket, key_derivation, key_poly
 from postliemi.enveloping import STRUCT_BTR, SymElement, sigma, star_word, sym_word
 
 
@@ -281,6 +284,70 @@ def brute_word_splits(w) -> dict:
     return counts
 
 
+# -- the Guin-Oudom action by its defining recursion -------------------------
+#
+# No memo, every sum folded with +, letters multiplied by the structure's
+# public letter product and words by the literal straightening above (jz) or
+# by multiset union (btr).
+
+
+def _brute_mul(struct, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
+    out = SymElement.zero()
+    for w1, c1 in u.terms:
+        for w2, c2 in v.terms:
+            if struct.name == "btr":
+                prod = SymElement.single(sym_word(w1 + w2))
+            else:
+                prod = brute_pbw_normal_form(w1 + w2, bracket, cfg)
+            out = out + prod.scale(c1 * c2)
+    return out
+
+
+def _brute_act(struct, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
+    out = SymElement.zero()
+    for wu, cu in u.terms:
+        for wv, cv in v.terms:
+            out = out + brute_ext_action_word(struct, wu, wv, cfg).scale(cu * cv)
+    return out
+
+
+def brute_ext_action_word(struct, u, v, cfg: Config) -> SymElement:
+    """u > v: the empty word acts as the identity, a nonempty word kills the
+    empty word, (x rest) > y = x > (rest > y) - (x > rest) > y on one letter
+    y, and u > (y rest) = sum over the position splits u = u1 u2 of
+    (u1 > y)(u2 > rest)."""
+    if not u:
+        return SymElement.single(v)
+    if not v:
+        return SymElement.zero()
+    if len(u) == 1 and len(v) == 1:
+        out = SymElement.zero()
+        for k, c in struct.prod(LElement.single(u[0]), LElement.single(v[0]), cfg).terms:
+            out = out + SymElement.single((k,), c)
+        return out
+    if len(v) == 1:
+        x, rest = SymElement.single((u[0],)), u[1:]
+        first = _brute_act(struct, x, brute_ext_action_word(struct, rest, v, cfg), cfg)
+        xrest = _brute_act(struct, x, SymElement.single(rest), cfg)
+        return first - _brute_act(struct, xrest, SymElement.single(v), cfg)
+    y, rest = (v[0],), v[1:]
+    out = SymElement.zero()
+    for (u1, u2), count in brute_word_splits(u).items():
+        left = brute_ext_action_word(struct, u1, y, cfg)
+        right = brute_ext_action_word(struct, u2, rest, cfg)
+        out = out + _brute_mul(struct, left, right, cfg).scale(count)
+    return out
+
+
+def brute_star_word(struct, u, v, cfg: Config) -> SymElement:
+    """u * v = sum over the position splits u = u1 u2 of u1 (u2 > v)."""
+    out = SymElement.zero()
+    for (u1, u2), count in brute_word_splits(u).items():
+        acted = brute_ext_action_word(struct, u2, v, cfg)
+        out = out + _brute_mul(struct, SymElement.single(u1), acted, cfg).scale(count)
+    return out
+
+
 # -- alphabet and word enumeration -------------------------------------------
 
 
@@ -335,7 +402,7 @@ def budget_words(letters: list, max_value: Fraction, cfg: Config) -> list:
 # -- coaction by exhaustive scan ---------------------------------------------
 
 
-def brute_coaction(target: MultiIndex, cfg: Config) -> dict:
+def brute_coaction(target: MultiIndex, cfg: Config, words: list | None = None) -> dict:
     """Map (word, source) -> coefficient of the coaction on z^target.
 
     Scans every word of in-L letters whose decorations fit in the degree
@@ -346,7 +413,8 @@ def brute_coaction(target: MultiIndex, cfg: Config) -> dict:
     larger key cannot reach the target, while a letter such as z_3 D(0,0)
     at alpha = 1/2 and |target| = 1 can although 3 exceeds the slice cap 2.
     Each candidate is settled by applying the word to the source and reading
-    off one coefficient.
+    off one coefficient.  Given ``words``, only those words are scanned, and
+    the map holds their terms alone.
     """
     tval = hom_value(target, cfg)
     ht = homogeneity(target)
@@ -354,7 +422,7 @@ def brute_coaction(target: MultiIndex, cfg: Config) -> dict:
     max_k = max(k_keys) if k_keys else -1
     letters = brute_letters(tval, cfg, max_k)
     out = {}
-    for u in budget_words(letters, tval, cfg):
+    for u in budget_words(letters, tval, cfg) if words is None else words:
         need = ht - word_degree(u)
         if need.a < 0 or need.b < 0:
             continue

@@ -4,22 +4,25 @@ pairing, and the dual coproduct."""
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postliemi.derivations import DOp, DerivationCombo, Partial, derivation_rank
-from postliemi.errors import TruncationRefused
+from postliemi.errors import DimensionMismatch, TruncationRefused
 from postliemi.multiindex import Config, MultiIndex, hom_value
 from postliemi.polyalg import Polynomial
 from postliemi.postlie import (
     LElement,
     Shift,
     Tilt,
+    _keys_commute,
     basis_pool,
     bracket,
     btr,
+    key_in_L,
     parse_l_key,
     pbw_rank,
     structural_rank,
@@ -50,14 +53,17 @@ from postliemi.enveloping import (
     tmap,
     word_mults,
 )
+from postliemi.representation import coaction_contributions, rho_bar_word
 from postliemi.walks import splits
 
 from oracles import (
     brute_dual_coproduct,
     brute_dual_table,
+    brute_ext_action_word,
     brute_letters,
     brute_pbw_normal_form,
     brute_pbw_rank,
+    brute_star_word,
     brute_word_splits,
 )
 
@@ -316,6 +322,110 @@ def test_integer_pbw_rank_sorts_like_the_exact_degree(cfg):
     assert all(isinstance(pbw_rank(k, cfg)[1], int) for k in pool)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_the_commuting_rule_is_the_zero_bracket(d):
+    # the decoration enters the bracket only as the factor a1 * a2, so a low
+    # decoration slice with every lowering order up to 3 meets each key shape
+    cfg = Config(d, Fraction(1, 2))
+    pool = basis_pool(cfg, gamma_limit=Fraction(1), max_norm=3)
+    for x in pool:
+        for y in pool:
+            zero = bracket(LElement.single(x), LElement.single(y), cfg).is_zero
+            assert _keys_commute(x, y) == zero, (x, y)
+
+
+# -- the action and the star against their defining recursion ----------------
+
+
+def _draw_alphabet(data, cfg: Config) -> list:
+    pool = PBW_POOLS[cfg]
+    # shifts are d keys among hundreds, and only they bracket or lower a
+    # tilt, so they are drawn half the time; a few letters per example make
+    # repeated letters, and so splits with multiplicities, common
+    letters = st.one_of(st.sampled_from(pool[: cfg.d]), st.sampled_from(pool))
+    return data.draw(st.lists(letters, min_size=1, max_size=4))
+
+
+def _draw_word(data, alphabet: list, max_len: int):
+    return data.draw(st.lists(st.sampled_from(alphabet), max_size=max_len).map(sym_word))
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_action_and_star_match_the_unmemoized_recursion(struct, data):
+    cfg = data.draw(st.sampled_from(PBW_CFGS))
+    alphabet = _draw_alphabet(data, cfg)
+    u, v = _draw_word(data, alphabet, 3), _draw_word(data, alphabet, 3)
+    assert ext_action_word(struct, u, v, cfg) == brute_ext_action_word(struct, u, v, cfg)
+    assert star_word(struct, u, v, cfg) == brute_star_word(struct, u, v, cfg)
+    u2, v2 = _draw_word(data, alphabet, 2), _draw_word(data, alphabet, 2)
+    ue = SymElement.from_terms([(u, 2), (u2, Fraction(-1, 3))])
+    ve = SymElement.from_terms([(v, 1), (v2, 3)])
+    expect = SymElement.zero()
+    for a, ca in ue.terms:
+        for b, cb in ve.terms:
+            expect = expect + brute_star_word(struct, a, b, cfg).scale(ca * cb)
+    assert star(struct, ue, ve, cfg) == expect
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@pytest.mark.parametrize(
+    "u,v",
+    [((P1, P1), (Z0D10,)), ((P1, P1), (Z0D10, Z0D10)), ((P1, P1, Z0D0), (Z0D10, ZN))],
+    ids=["star", "action", "both"],
+)
+def test_repeated_letters_split_with_their_multiplicity(struct, u, v):
+    u, v = sym_word(u), sym_word(v)
+    assert ext_action_word(struct, u, v, CFG) == brute_ext_action_word(struct, u, v, CFG)
+    assert star_word(struct, u, v, CFG) == brute_star_word(struct, u, v, CFG)
+
+
+def _action_on_a_tilt(struct, u, y, cfg: Config) -> SymElement:
+    """u > y for a tilt y = z^gamma D^(n), read from the action of words on
+    polynomials.  The letters of u act on the decoration through
+    rho_bar_word; with btr a set of shifts of u may instead lower D^(n), each
+    P_i taking D(m) to -m_i D(m - e_i)."""
+    terms = []
+    for size in range(len(u) + 1):
+        for chosen in combinations(range(len(u)), size):
+            lowering = [u[i] for i in chosen]
+            if lowering and (struct is STRUCT_JZ or not all(isinstance(k, Shift) for k in lowering)):
+                continue
+            n, c = list(y.n), 1
+            for p in lowering:
+                c *= -n[p.i - 1]
+                n[p.i - 1] -= 1
+            if not c:
+                continue
+            s = sym_word(u[i] for i in range(len(u)) if i not in chosen)
+            acted = rho_bar_word(struct, s, Polynomial.monomial(y.gamma), cfg)
+            terms.extend(((Tilt(h, tuple(n)),), c * ch) for h, ch in acted.terms)
+    return SymElement.from_terms(terms)
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_action_on_a_tilt_is_the_action_on_its_decoration(struct, data):
+    cfg = data.draw(st.sampled_from(PBW_CFGS))
+    u = _draw_word(data, _draw_alphabet(data, cfg), 4)
+    y = data.draw(st.sampled_from(PBW_POOLS[cfg][cfg.d :]))
+    assert ext_action_word(struct, u, (y,), cfg) == _action_on_a_tilt(struct, u, y, cfg)
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@pytest.mark.parametrize(
+    "bad", [Tilt(MultiIndex.single(0), (0, 0, 0)), Shift(3)], ids=["tilt-d3", "shift-3"]
+)
+def test_a_letter_of_the_wrong_dimension_is_refused_on_either_side(struct, bad):
+    for good in (P1, Z0D10):
+        with pytest.raises(DimensionMismatch):
+            star_word(struct, (good,), (bad,), CFG)
+        with pytest.raises(DimensionMismatch):
+            star_word(struct, (bad,), (good,), CFG)
+
+
 # -- word splittings ---------------------------------------------------------
 
 
@@ -367,6 +477,23 @@ def test_pairing_is_diagonal_with_factorials():
 
 
 # -- dual coproduct ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "cfg,limit",
+    [
+        (CFG, Fraction(3, 2)),
+        (Config(3, Fraction(1, 2)), Fraction(3, 2)),
+        (CFG34, Fraction(5, 2)),
+    ],
+    ids=lambda v: f"d{v.d}-{v.alpha}" if isinstance(v, Config) else str(v),
+)
+def test_every_coaction_word_lies_in_the_graded_subalgebra(cfg, limit):
+    # dual_coproduct_letter reads its words from the coaction unfiltered
+    gammas = {k.gamma for k in basis_pool(cfg, gamma_limit=limit) if isinstance(k, Tilt)}
+    words = [r.word for g in gammas for r in coaction_contributions(g, cfg)]
+    assert len(words) > len(gammas)
+    assert all(key_in_L(k, cfg) for word in words for k in word)
 
 
 def test_dual_coproduct_of_the_unit():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postliemi.multiindex import Config, MultiIndex, homogeneity
+from postliemi.multiindex import Config, MultiIndex, hom_value, homogeneity
 from postliemi.polyalg import Polynomial, grade_components
 from postliemi.derivations import (
     DOp,
@@ -31,7 +31,7 @@ from postliemi.representation import (
     rho_hat,
 )
 
-from oracles import brute_coaction, brute_psi_word, brute_rho_bar_word, brute_slice
+from oracles import brute_coaction, brute_letters, brute_psi_word, brute_rho_bar_word, brute_slice
 
 CFG = Config(2, Fraction(1, 2))
 CFG34 = Config(2, Fraction(3, 4))
@@ -391,6 +391,27 @@ def test_coaction_matches_the_brute_scan_where_shifts_contribute():
         got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG3)}
         assert any(isinstance(x, Shift) for word, _ in got for x in word)
         assert got == brute_coaction(target, CFG3)
+
+
+def test_shifts_in_live_directions_contribute_at_d8():
+    # the shifts are spread only over directions of target - front or of a
+    # chosen tilt's n: P5 is live in z_k z_(e5) through the target, and P1 in
+    # z_0 z_1 z_2 through z_0 z_1 D(1,0) alone, since P1 <> D(1,0) = -D(0,0).
+    # A full scan at d=8 takes minutes, so the oracle scans every word of one
+    # shift and at most one tilt
+    e5 = (0, 0, 0, 0, 1, 0, 0, 0)
+    targets = [MultiIndex.single(k) + MultiIndex.single(e5) for k in (1, 2)]
+    targets.append(MultiIndex.from_dict({0: 1, 1: 1, 2: 1}))
+    shifts = [Shift(i) for i in range(1, 9)]
+    for target in targets:
+        max_k = max(k for k, _ in target.k_entries())
+        tilts = [x for x in brute_letters(hom_value(target, CFG8), CFG8, max_k) if isinstance(x, Tilt)]
+        words = [(p,) for p in shifts] + [sym_word((p, t)) for p in shifts for t in tilts]
+        expect = brute_coaction(target, CFG8, words)
+        assert expect  # every scanned word holds a shift
+        scanned = set(words)
+        got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG8)}
+        assert {key: c for key, c in got.items() if key[0] in scanned} == expect
 
 
 def test_ladder_letter_above_the_slice_cap_contributes():
