@@ -39,8 +39,8 @@ on letters, extended multiplicatively to words.  A shift is primitive; the
 terms of a tilt z^gamma D^(n) are read from the coaction on z^gamma.  Letters
 must lie in the graded subalgebra (``in_L``): outside it the sum is genuinely
 infinite, so membership is a precondition rather than a limitation of the
-implementation.  The un-grafting closure of a letter only checks truncation
-bounds against what completeness requires.
+implementation.  Truncation bounds are checked against the exact result: the
+required word length and letter degree are read from its terms.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .combination import Combination
 from .errors import ParseError, TruncationRefused
-from .multiindex import Config, MultiIndex, hom_value, n_norm
+from .multiindex import Config, hom_value, n_norm
 from .postlie import (
     LBasisKey,
     LElement,
@@ -64,7 +64,6 @@ from .postlie import (
     bracket,
     btr,
     check_key_dim,
-    divisor_tilts,
     key_degree,
     key_in_L,
     parse_l_key,
@@ -435,88 +434,17 @@ def pairing(u: SymElement, v: SymElement) -> Fraction:
 
 @dataclass(frozen=True)
 class TruncationParams:
-    """Optional ceilings for the dual-coproduct search.
+    """Optional assertions that the dual coproduct drops no term.
 
-    Both default to None, meaning the exact (complete) computation.  Explicit
-    values below what completeness requires are refused, never silently
-    applied: a clipped coproduct is wrong, not approximate.
+    The coproduct is always computed exactly; these are not search ceilings.
+    ``max_word_len`` asserts that no leg of a term is longer, and
+    ``max_letter_degree`` that no letter of a leg has a larger degree.  A
+    bound that fails either assertion is refused, never silently applied: a
+    clipped coproduct is wrong, not approximate.  None asserts nothing.
     """
 
     max_word_len: int | None = None
     max_letter_degree: Fraction | None = None
-
-
-def _deg2(key: LBasisKey) -> tuple:
-    """(counting weight, direction weight) of a key; additive along products
-    of elements of the graded subalgebra."""
-    h = key_degree(key)
-    return (h.a, h.b)
-
-
-def _ungraft_moves(zeta: Tilt, cfg: Config) -> list:
-    """Candidate (letter, receiver) pairs whose product can contain zeta.
-
-    Purely structural over-approximation, used only to bound truncations:
-    extra candidates can only raise the requirements.  The enumeration below
-    walks every letter shape that the product rules can consume.
-    """
-    out = []
-    gz, nz = zeta.gamma, zeta.n
-    d = cfg.d
-    for xi in divisor_tilts(gz, cfg):
-        rem = gz.sub(xi.gamma)
-        if any(xi.n):
-            # a decorated lowering letter z^{g'} D^(n'), acting multiplicatively:
-            # receiver gz - g' + e_{n'}
-            out.append((xi, Tilt(rem + MultiIndex.single(xi.n), nz)))
-            continue
-        # ladder letter z^{g'} D^(0): receiver gz - g' + e_{k-1} - e_k
-        for k, _ in rem.k_entries():
-            if k == 0:
-                continue
-            recv_g = rem.sub(MultiIndex.single(k)) + MultiIndex.single(k - 1)
-            out.append((xi, Tilt(recv_g, nz)))
-    for i in range(1, d + 1):
-        xi = Shift(i)
-        ei = tuple(1 if j == i - 1 else 0 for j in range(d))
-        # triangular branch of a shift: receiver (gz, nz + e_i)
-        out.append((xi, Tilt(gz, tuple(a + b for a, b in zip(nz, ei)))))
-        # ladder branch of a shift: gz gains e_{k+1} and e_{(e_i)}
-        rem = gz.try_sub(MultiIndex.single(ei))
-        if rem is not None:
-            for k, _ in rem.k_entries():
-                if k == 0:
-                    continue
-                recv_g = rem.sub(MultiIndex.single(k)) + MultiIndex.single(k - 1)
-                out.append((xi, Tilt(recv_g, nz)))
-            # raising branch of a shift: gz gains e_{m + e_i} from e_m
-            for nkey, _ in gz.n_entries():
-                m = tuple(a - b for a, b in zip(nkey, ei))
-                if any(c < 0 for c in m) or not any(m):
-                    continue
-                recv_g = gz.sub(MultiIndex.single(nkey)) + MultiIndex.single(m)
-                out.append((xi, Tilt(recv_g, nz)))
-    return out
-
-
-def _letter_closure(x: LBasisKey, cfg: Config) -> list:
-    """All keys that can appear in a contributing pair (u, y) for x, found by
-    un-grafting breadth-first; finite because the combined degree drops by at
-    least one per step."""
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for zeta in frontier:
-            if not isinstance(zeta, Tilt):
-                continue
-            for xi, recv in _ungraft_moves(zeta, cfg):
-                for cand in (xi, recv):
-                    if cand not in seen and key_in_L(cand, cfg):
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return sorted(seen, key=structural_rank)
 
 
 _DUAL_LETTER_CACHE: dict = {}
@@ -563,34 +491,14 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
     return out
 
 
-def _closure_requirements(w: SymWord, closures: dict, cfg: Config) -> tuple:
-    """(word length, letter degree value) ceilings that completeness needs.
-
-    Tensor legs multiply over the letters of w, so the length requirement is
-    the sum of the per-letter ones.  closures maps each tilt of w to its
-    ``_letter_closure``.
-    """
-    need_len = 0
-    max_deg = Fraction(0)
-    for x in w:
-        if isinstance(x, Shift):
-            need_len += 1
-            max_deg = max(max_deg, Fraction(1))
-            continue
-        ax, cx = _deg2(x)
-        need_len += max(ax + cx - 1, 1)
-        for k in closures[x]:
-            max_deg = max(max_deg, key_degree(k).value(cfg))
-    return need_len, max_deg
-
-
 def dual_coproduct(
     w: SymWord, cfg: Config, trunc: TruncationParams | None = None
 ) -> TensorElement:
     """Coproduct dual to star_btr; multiplicative over the letters of w.
 
-    Every letter must satisfy in_L.  trunc=None computes exactly; explicit
-    bounds are only accepted when they cover the computed requirements.
+    Every letter must satisfy in_L.  The result is always exact; a bound in
+    trunc is refused when it would drop one of its terms, that is when it is
+    below the longest leg or below the largest degree of a letter in a leg.
     """
     for x in w:
         if not key_in_L(x, cfg):
@@ -598,22 +506,24 @@ def dual_coproduct(
                 f"letter {print_l_key(x)} is outside the graded subalgebra; "
                 "its dual coproduct has infinitely many terms"
             )
-    if trunc is not None and (
-        trunc.max_word_len is not None or trunc.max_letter_degree is not None
-    ):
-        closures = {x: _letter_closure(x, cfg) for x in set(w) if isinstance(x, Tilt)}
-        need_len, need_deg = _closure_requirements(w, closures, cfg)
-        if trunc.max_word_len is not None and trunc.max_word_len < need_len:
-            raise TruncationRefused(
-                f"word length bound {trunc.max_word_len} is below the required {need_len}"
-            )
-        if trunc.max_letter_degree is not None and trunc.max_letter_degree < need_deg:
-            raise TruncationRefused(
-                f"letter degree bound {trunc.max_letter_degree} is below the required {need_deg}"
-            )
     out = TensorElement.single(EMPTY_WORD, EMPTY_WORD)
     for x in w:
         out = tensor_poly_star(out, dual_coproduct_letter(x, cfg))
+    if trunc is None:
+        return out
+    legs = [leg for (a, b), _ in out.terms for leg in (a, b)]
+    if trunc.max_word_len is not None:
+        need_len = max(map(len, legs))
+        if trunc.max_word_len < need_len:
+            raise TruncationRefused(
+                f"word length bound {trunc.max_word_len} is below the required {need_len}"
+            )
+    if trunc.max_letter_degree is not None:
+        need_deg = max((key_degree(k).value(cfg) for leg in legs for k in leg), default=Fraction(0))
+        if trunc.max_letter_degree < need_deg:
+            raise TruncationRefused(
+                f"letter degree bound {trunc.max_letter_degree} is below the required {need_deg}"
+            )
     return out
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .enveloping import SymWord, TruncationParams, _word_rank, dual_coproduct
+from .enveloping import SymWord, _word_rank, dual_coproduct
 from .multiindex import Config, MultiIndex
 from .polyalg import Polynomial
 from .postlie import LBasisKey, basis_pool, parse_l_key, print_l_key, structural_rank
@@ -98,15 +98,9 @@ def char_eval(f: Character, terms) -> Fraction:
     return out
 
 
-def convolve(
-    f1: Character,
-    f2: Character,
-    w: SymWord,
-    cfg: Config,
-    trunc: TruncationParams | None = None,
-) -> Fraction:
+def convolve(f1: Character, f2: Character, w: SymWord, cfg: Config) -> Fraction:
     out = Fraction(0)
-    for (a, b), c in dual_coproduct(w, cfg, trunc).terms:
+    for (a, b), c in dual_coproduct(w, cfg).terms:
         out += c * f1.on_word(a) * f2.on_word(b)
     return out
 

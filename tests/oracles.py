@@ -2,7 +2,7 @@
 
 Everything in this file trades speed for transparency: enumerate every
 candidate inside sound finite caps, evaluate it exactly, keep the nonzero
-ones.  The library proper prunes by divisibility and closure bookkeeping;
+ones.  The library proper prunes by divisibility and degree bookkeeping;
 these scans are what that bookkeeping is checked against, so they must not
 share its shortcuts.
 
@@ -490,7 +490,7 @@ def brute_dual_coproduct(w, letters: list, cfg: Config) -> dict:
     the coefficient of u1 (x) u2 is <u1 * u2, w> / (sigma(u1) sigma(u2)).
 
     All pairs over the supplied alphabet with the exact complementary degrees
-    are tried; no closure computation, no pruning beyond degree bookkeeping.
+    are tried, with no pruning beyond degree bookkeeping.
     """
     degw = word_degree(w)
     valw = degw.value(cfg)

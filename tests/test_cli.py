@@ -178,9 +178,18 @@ def test_dual_coproduct_accepts_a_covering_bound(capsys):
     argv = ["dual-coproduct", "[z{k0:1}xD(0,0)]", "--alpha", "1/2"]
     rc, exact, _ = run(capsys, argv)
     assert rc == 0
-    rc, out, _ = run(capsys, argv + ["--max-word-len", "1", "--max-letter-degree", "1"])
+    # the bounds equal the figures of the result: one letter, of degree 1/2
+    rc, out, _ = run(capsys, argv + ["--max-word-len", "1", "--max-letter-degree", "1/2"])
     assert rc == 0
     assert out == exact
+
+
+def test_dual_coproduct_refuses_a_degree_bound_below_the_letter(capsys):
+    argv = ["dual-coproduct", "[z{k0:1}xD(0,0)]", "--alpha", "1/2", "--max-letter-degree", "1/4"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: letter degree bound 1/4 is below the required 1/2\n"
 
 
 def test_gamma_table(capsys, tmp_path):

@@ -65,6 +65,7 @@ from oracles import (
     brute_pbw_rank,
     brute_star_word,
     brute_word_splits,
+    letter_degree,
 )
 
 CFG = Config(2, Fraction(1, 2))
@@ -529,26 +530,42 @@ def test_truncation_refusal_and_acceptance():
     assert dual_coproduct(target, CFG34, wide) == dual_coproduct(target, CFG34)
 
 
-def test_truncation_computes_each_letter_closure_once(monkeypatch):
-    import postliemi.enveloping as env
-
-    calls = []
-
-    def counting(x, cfg):
-        calls.append(x)
-        return closure(x, cfg)
-
-    closure = env._letter_closure
-    monkeypatch.setattr(env, "_letter_closure", counting)
-    monkeypatch.setattr(env, "_DUAL_LETTER_CACHE", {})  # every letter new
-    t10 = Tilt(MultiIndex.single(0, 2), (1, 0))
-    target = w(t10, Z0D0, Z0D0, P1)
-    wide = TruncationParams(max_word_len=9, max_letter_degree=Fraction(9))
-    bounded = dual_coproduct(target, CFG34, wide)
-    assert sorted(calls, key=structural_rank) == [Z0D0, t10]
-    monkeypatch.setattr(env, "_DUAL_LETTER_CACHE", {})
-    assert bounded == dual_coproduct(target, CFG34)
-    assert len(calls) == 2  # the exact path computes no closure
+# words of one and two letters from the oracle alphabet, which holds every
+# letter of a contributing pair: each such letter has a decoration of degree
+# at most the largest |gamma| of the word
+@pytest.mark.parametrize(
+    "cfg,texts",
+    [
+        # the only leg letter is the letter itself, of degree 1/2
+        (CFG, ["z{k0:1}xD(0,0)"]),
+        (CFG, ["P1", "z{k1:1,k2:1}xD(0,0)"]),
+        (CFG, ["z{k0:1}xD(0,0)", "z{(1,0):1}xD(0,0)"]),
+        # a left leg of two letters from a single letter
+        (CFG, ["z{k0:2,k2:1}xD(0,0)"]),
+        (CFG34, ["z{k0:1,k1:1}xD(0,0)"]),
+        (CFG34, ["z{k0:2}xD(1,0)", "z{k0:1}xD(0,0)"]),
+        (CFG34, ["P2", "z{k0:2}xD(0,1)"]),
+        (Config(3, Fraction(3, 4)), ["z{k0:1,k1:1}xD(0,0,0)"]),
+    ],
+    ids=lambda v: "".join(f"[{t}]" for t in v) if isinstance(v, list) else _ids(v),
+)
+def test_truncation_bounds_are_the_figures_of_the_pair_scan(cfg, texts):
+    target = sym_word(parse_l_key(t, cfg.d) for t in texts)
+    max_gamma = max(hom_value(x.gamma, cfg) for x in target if isinstance(x, Tilt))
+    letters = brute_letters(max_gamma, cfg)
+    assert set(target) <= set(letters)
+    expect = brute_dual_coproduct(target, letters, cfg)
+    legs = [leg for pair in expect for leg in pair]
+    need_len = max(len(leg) for leg in legs)
+    need_deg = max(letter_degree(k).value(cfg) for leg in legs for k in leg)
+    exact = TruncationParams(max_word_len=need_len, max_letter_degree=need_deg)
+    assert {pair: c for pair, c in dual_coproduct(target, cfg, exact).terms} == expect
+    with pytest.raises(TruncationRefused, match=f"the required {need_len}$"):
+        dual_coproduct(target, cfg, TruncationParams(max_word_len=need_len - 1))
+    # degrees a*alpha + b with alpha = p/q step by 1/q: the next value below
+    below = need_deg - Fraction(1, cfg.alpha.denominator)
+    with pytest.raises(TruncationRefused, match=f"the required {need_deg}$"):
+        dual_coproduct(target, cfg, TruncationParams(max_letter_degree=below))
 
 
 def test_dual_coproduct_matches_the_pair_scan():
