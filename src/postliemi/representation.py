@@ -31,14 +31,16 @@ many shifts as the direction budget allows.  The shifts are spread only over
 live directions, those i that occur in a direction key of z^(target - front)
 or in the n of a chosen tilt: the transpose of Partial(i) needs direction i
 in the monomial, P_i <> D(m) needs m_i > 0, and no adjoint step brings in a
-direction that was in neither.  The sources are not searched for.  They are
-proposed by the adjoint: psi_word is a linear recursion, so its transpose
+direction that was in neither.  The sources are not searched for, and no
+action is evaluated.  psi_word is a linear recursion, so its transpose
 (``_psi_adjoint``) is the same recursion with each derivation replaced by
-its transpose on monomials, applied in reverse order.  Applied
-to z^(target - front) once per word, it yields exactly the sources with a
-nonzero coefficient.  Each proposed source is then settled by evaluating
-``rho_bar_word`` on it.  The transposes are memoized as long as psi_word.
-The dual coproduct of a letter is read from the same coaction.
+its transpose on monomials, applied in reverse order.  Since rho_bar_word
+multiplies by z^front after psi_word, the coefficient of z^target in
+rho_bar(u)(z^beta) is < psi_word z^beta, z^(target - front) >.  So the
+transpose, applied to z^(target - front) once per word, gives both the
+sources with a nonzero coefficient and those coefficients.  The transposes
+are memoized as long as psi_word.  The dual coproduct of a letter is read
+from the same coaction.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from .derivations import (
     derivation_rank,
     diamond as derivation_diamond,
 )
-from .enveloping import STRUCT_BTR, Structure, SymElement, SymWord, _word_rank, sigma, sym_word
+from .enveloping import Structure, SymElement, SymWord, _word_rank, sigma, sym_word
 from .multiindex import Config, MultiIndex, homogeneity, n_norm
 from .polyalg import Polynomial
 from .postlie import (
@@ -195,8 +197,8 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     Exact and complete.  Tilt letters are chosen among the divisors of the
     target, and the degree bookkeeping bounds the shift count.  For each
     word u so formed, the transpose of its derivation action, applied to
-    z^(target - front), proposes exactly the sources with a nonzero
-    coefficient; each is settled by evaluating the action.
+    z^(target - front), gives exactly the sources with a nonzero
+    coefficient, and each coefficient before the division by sigma(u).
     """
     ht = homogeneity(target)
     letters = sorted(divisor_tilts(target, cfg), key=structural_rank)
@@ -214,11 +216,8 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
             for spread in compositions(m, len(live)):
                 u = sym_word(tilts + [units[i] for i, k in zip(live, spread) for _ in range(k)])
                 ds = tuple(sorted((key_derivation(k) for k in u), key=derivation_rank))
-                for beta in _psi_adjoint(ds, rem, cfg):
-                    value = rho_bar_word(STRUCT_BTR, u, Polynomial.monomial(beta), cfg)
-                    c = value.coeff(target)
-                    if c != 0:
-                        results.append(Contribution(u, beta, c / sigma(u)))
+                for beta, c in _psi_adjoint(ds, rem, cfg).items():
+                    results.append(Contribution(u, beta, c / sigma(u)))
 
     def choose(i: int, tilts: list, rem: MultiIndex):
         finish(tilts, rem)

@@ -234,7 +234,8 @@ def _pinned_table(d, cutoff, digest):
 
 # sha256 of the whole stdout: the coaction tables at d=8 and d=3 are pinned
 # byte for byte, and so are the windows at cutoffs 3 (d=2) and 11/4 (d=3),
-# the first where words of two letters reach a target
+# the first where words of two letters reach a target, and the d=2 window at
+# cutoff 7/2, the largest that CI runs
 @pytest.mark.parametrize(
     "d, cutoff, digest",
     [
@@ -242,6 +243,7 @@ def _pinned_table(d, cutoff, digest):
         _pinned_table("3", "2", "f5913608de37abf14e1fd9f8c70a272e8231867e1176308e6caf23314800d548"),
         _pinned_table("2", "3", "5663a528ebcf1ec4d1f4a8c11ee8a73950a76c3f508c459121ef46edd6f2005e"),
         _pinned_table("3", "11/4", "28f57851e8d9e3ef19f7a4f71e6d6ae81163b27b60e63741a42fb8faf87d8ef3"),
+        _pinned_table("2", "7/2", "1f2c8324ff1204758418835ce516b157fcc66749bc67c94ab70066ca9bd6c0a7"),
     ],
 )
 def test_coaction_tables_are_pinned(capsys, d, cutoff, digest):

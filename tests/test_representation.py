@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postliemi.multiindex import Config, MultiIndex, hom_value, homogeneity
+from postliemi.multiindex import Config, MultiIndex, enumerate_below_value, hom_value, homogeneity
 from postliemi.polyalg import Polynomial, grade_components
 from postliemi.derivations import (
     DOp,
@@ -19,7 +19,7 @@ from postliemi.derivations import (
     diamond,
 )
 from postliemi.postlie import LElement, Shift, Tilt, grand_bracket
-from postliemi.enveloping import STRUCT_BTR, STRUCT_JZ, star_word, sym_word
+from postliemi.enveloping import STRUCT_BTR, STRUCT_JZ, sigma, star_word, sym_word
 from postliemi.representation import (
     Contribution,
     _psi_adjoint,
@@ -429,3 +429,26 @@ def test_coaction_scan_agrees_on_a_small_target():
     target = MultiIndex.single(0, 2)
     got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG)}
     assert got == brute_coaction(target, CFG)
+
+
+@pytest.mark.parametrize(
+    "cfg, cutoff, repeats",
+    [
+        (CFG34, Fraction(3), True),
+        (CFG3, Fraction(11, 4), True),
+        (CFG8, Fraction(2), False),
+        (CFG, Fraction(2), True),
+    ],
+    ids=["d2-3", "d3-11/4", "d8-2", "d2-alpha1/2-2"],
+)
+def test_coaction_coefficients_settle_by_the_action(cfg, cutoff, repeats):
+    # each coefficient is read from the psi transpose; the action of its word
+    # on its source, through psi_word, must give it back times sigma(word)
+    seen_sigma = set()
+    for target in enumerate_below_value(cutoff, cfg):
+        for c in coaction_contributions(target, cfg):
+            value = rho_bar_word(STRUCT_BTR, c.word, Polynomial.monomial(c.source), cfg)
+            assert c.coeff * sigma(c.word) == value.coeff(target)
+            seen_sigma.add(sigma(c.word))
+    # where a word repeats a letter, the division by sigma is seen
+    assert (max(seen_sigma) > 1) == repeats
