@@ -17,6 +17,17 @@ for x = a1 (x) D1, y = a2 (x) D2, where [.,.] is the composition commutator
 of derivations and <> their triangular product.  Products of basis keys never
 produce a decorated Shift, so the key shape is closed.
 
+Only some pairs of keys reach a kernel.  [D1, D2] and D1 <> D2 of basis
+derivations vanish unless a shift P_i meets a tilt with n_i != 0, and > is
+zero onto a shift, so x > y runs every key of x against the tilts of y,
+x <> y the shifts of x against the tilts of y, and [x, y] those pairs plus
+the tilts of x against the shifts of y; a shift and a tilt reach <> or
+[.,.] only when their direction masks (``_key_mask``) meet.  Each product
+reads both operands' ``_Shape``: keys checked against the dimension, the
+shift count and the masks, stored on the element and recomputed when it
+is read at another dimension.  A tilt stores D(z^gamma) for each
+(derivation D, config) that > has acted with, and drops it with the key.
+
 Derived operations: ``btr`` (> plus <>), the deformed bracket ``bbracket``,
 the ``grand_bracket``, and the generic torsion / curvature / Bianchi
 machinery parameterized over any bilinear pair (prod, lie).
@@ -31,7 +42,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Tuple, Union
+from itertools import product
+from typing import Callable, Iterable, NamedTuple, Sequence, Tuple, Union
 
 from .combination import Combination
 from .derivations import (
@@ -65,7 +77,8 @@ from .text import parse_sum, print_sum
 class Tilt:
     """Basis key z^gamma * D^(n); n is a d-tuple, zero allowed.  Stores its
     hash, that of (gamma, n), its ``structural_rank``, the degree pair of
-    gamma that ``pbw_rank`` reads and its ``key_derivation`` once computed."""
+    gamma that ``pbw_rank`` reads and its ``key_derivation`` once computed,
+    and the actions D(z^gamma) that ``>`` has read, keyed by (D, config)."""
 
     gamma: MultiIndex
     n: tuple
@@ -73,6 +86,7 @@ class Tilt:
     _rank: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _hom: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _derivation: DOp | None = field(default=None, init=False, repr=False, compare=False)
+    _acted: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -89,6 +103,21 @@ class Tilt:
             raise DimensionMismatch(
                 f"decoration over dimension {gd} on a derivation of dimension {len(self.n)}"
             )
+
+
+def _trusted_tilt(gamma: MultiIndex, n: tuple) -> Tilt:
+    """Tilt(gamma, n) without the ``__post_init__`` checks, for a product
+    whose gamma and n come from keys already checked against one dimension."""
+    t = object.__new__(Tilt)
+    put = object.__setattr__
+    put(t, "gamma", gamma)
+    put(t, "n", n)
+    put(t, "_hash", None)
+    put(t, "_rank", None)
+    put(t, "_hom", None)
+    put(t, "_derivation", None)
+    put(t, "_acted", None)
+    return t
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,11 +232,13 @@ def check_key_dim(key: LBasisKey, d: int) -> None:
 
 
 class LElement(Combination):
-    """Finite rational combination of basis keys, canonical."""
+    """Finite rational combination of basis keys, canonical.  Stores the
+    ``_shape`` that the products last read it at."""
 
     _rank = staticmethod(structural_rank)
     # declared here, not only inherited: tracing wraps each class's own __add__
     __add__ = Combination.__add__
+    _shape: _Shape | None = field(default=None, init=False, repr=False, compare=False)
 
     def keys(self) -> tuple:
         return tuple(k for k, _ in self.terms)
@@ -230,12 +261,83 @@ def in_L(x: LElement, cfg: Config) -> bool:
 # -- products ----------------------------------------------------------------
 
 
+def _key_mask(key: LBasisKey) -> int:
+    """The directions at which a key takes part in the vanishing rule, as
+    bits (bit i-1 for direction i): i for P_i, and for z^gamma D^(n) each i
+    with n_i != 0.  [D1, D2] and D1 <> D2 of two basis keys vanish unless
+    one is a shift and the other a tilt whose masks meet
+    (``compose_commutator``, ``derivations.diamond``)."""
+    if isinstance(key, Shift):
+        return 1 << (key.i - 1)
+    mask = 0
+    for j, c in enumerate(key.n):
+        if c:
+            mask |= 1 << j
+    return mask
+
+
+def _keys_commute(kx: LBasisKey, ky: LBasisKey) -> bool:
+    """Whether the bracket of two keys is zero, read off their masks; two
+    tilts or two shifts always commute.  A shift beyond a tilt's dimension
+    is not claimed to commute: the bracket refuses that pair."""
+    if isinstance(kx, Shift) is isinstance(ky, Shift):
+        return True
+    tilt, shift = (ky, kx) if isinstance(kx, Shift) else (kx, ky)
+    return shift.i <= len(tilt.n) and not _key_mask(shift) & _key_mask(tilt)
+
+
+class _Shape(NamedTuple):
+    """What the products read of an element at dimension d, whose keys were
+    checked against d.  Shifts rank first, so ``terms[:nshift]`` are the
+    shifts and the rest the tilts; ``masks`` holds each key's ``_key_mask``,
+    ``shift_mask`` and ``low_mask`` their unions over shifts and tilts."""
+
+    d: int
+    nshift: int
+    masks: tuple
+    shift_mask: int
+    low_mask: int
+
+
+def _shape(x: LElement, d: int) -> _Shape:
+    """The shape of x at dimension d, computed once and stored on x until a
+    product reads x at another dimension."""
+    s = x._shape
+    if s is None or s.d != d:
+        nshift = shift_mask = low_mask = 0
+        masks = []
+        for k, _ in x.terms:
+            check_key_dim(k, d)
+            m = _key_mask(k)
+            masks.append(m)
+            if isinstance(k, Shift):
+                nshift += 1
+                shift_mask |= m
+            else:
+                low_mask |= m
+        s = _Shape(d, nshift, tuple(masks), shift_mask, low_mask)
+        object.__setattr__(x, "_shape", s)
+    return s
+
+
 def _tri_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
+    """kx > ky as (key, coefficient) pairs: for ky = z^gamma D^(n), the
+    decoration of kx times D(z^gamma), tensored with D^(n).  D(z^gamma) is
+    read once per (D, config) and stored on ky."""
     if isinstance(ky, Shift):
         return []  # every derivation kills the unit decoration
-    gx = _decoration(kx)
-    acted = apply_to_monomial(key_derivation(kx), ky.gamma, cfg)
-    return [(Tilt(gx + g, ky.n), c) for g, c in acted]
+    D = key_derivation(kx)
+    acted = ky._acted
+    if acted is None:
+        acted = {}
+        object.__setattr__(ky, "_acted", acted)
+    moves = acted.get((D, cfg))
+    if moves is None:
+        moves = acted[(D, cfg)] = apply_to_monomial(D, ky.gamma, cfg)
+    if not moves:
+        return []
+    gx, n = _decoration(kx), ky.n
+    return [(_trusted_tilt(gx + g, n), c) for g, c in moves]
 
 
 def _tensor_decoration(kx: LBasisKey, ky: LBasisKey, combo) -> list:
@@ -244,58 +346,75 @@ def _tensor_decoration(kx: LBasisKey, ky: LBasisKey, combo) -> list:
     if combo.is_zero:
         return []
     g = _decoration(kx) + _decoration(ky)
-    return [(Tilt(g, D.n), c) for D, c in combo.terms]
+    return [(_trusted_tilt(g, D.n), c) for D, c in combo.terms]
 
 
 def _bracket_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
     return _tensor_decoration(kx, ky, compose_commutator(key_derivation(kx), key_derivation(ky)))
 
 
-def _keys_commute(kx: LBasisKey, ky: LBasisKey) -> bool:
-    """Whether the bracket of two keys is zero, read off their shapes.
-
-    [D1, D2] vanishes unless one factor is Partial(i) and the other DOp(n)
-    with n_i != 0 (``compose_commutator``), so two tilts or two shifts always
-    commute.  A shift beyond a tilt's dimension is not claimed to commute:
-    the bracket refuses that pair.
-    """
-    if isinstance(kx, Shift) is isinstance(ky, Shift):
-        return True
-    tilt, shift = (ky, kx) if isinstance(kx, Shift) else (kx, ky)
-    return shift.i <= len(tilt.n) and not tilt.n[shift.i - 1]
-
-
 def _diamond_kernel(kx: LBasisKey, ky: LBasisKey, cfg: Config) -> list:
     return _tensor_decoration(kx, ky, derivation_diamond(key_derivation(kx), key_derivation(ky)))
 
 
-def _bilinear(kernel) -> "BilinearOp":
+def _tri_pairs(x: LElement, sx: _Shape, y: LElement, sy: _Shape):
+    """Every term of x against the tilts of y."""
+    return product(x.terms, y.terms[sy.nshift :])
+
+
+def _meeting_pairs(x: LElement, sx: _Shape, y: LElement, sy: _Shape) -> list:
+    """The (shift of x, tilt of y) pairs of terms whose masks meet: the
+    only pairs at which x <> y can be nonzero."""
+    if not sx.shift_mask & sy.low_mask:
+        return []
+    i, j = sx.nshift, sy.nshift
+    return [
+        (a, b)
+        for a, ma in zip(x.terms[:i], sx.masks[:i])
+        for b, mb in zip(y.terms[j:], sy.masks[j:])
+        if ma & mb
+    ]
+
+
+def _bracket_pairs(x: LElement, sx: _Shape, y: LElement, sy: _Shape) -> list:
+    """The meeting (shift, tilt) pairs and the meeting (tilt, shift) pairs."""
+    pairs = _meeting_pairs(x, sx, y, sy)
+    if sx.low_mask & sy.shift_mask:
+        pairs += [(a, b) for b, a in _meeting_pairs(y, sy, x, sx)]
+    return pairs
+
+
+def _bilinear(kernel, pairs) -> "BilinearOp":
+    """The bilinear extension of a product of basis keys, run on the pairs
+    of terms that ``pairs`` yields; every other pair gives zero."""
+
     def op(x: LElement, y: LElement, cfg: Config) -> LElement:
         if not x.terms:
             return LElement.zero()
-        # every key once, in the order a check per pair would meet them
-        check_key_dim(x.terms[0][0], cfg.d)
-        for ky, _ in y.terms:
-            check_key_dim(ky, cfg.d)
-        for kx, _ in x.terms[1:]:
-            check_key_dim(kx, cfg.d)
+        d, sx, sy = cfg.d, x._shape, y._shape
+        if sx is None or sx.d != d:
+            # every key once, in the order a check per pair would meet them
+            check_key_dim(x.terms[0][0], d)
+            sy = _shape(y, d)
+            sx = _shape(x, d)
+        elif sy is None or sy.d != d:
+            sy = _shape(y, d)
         terms = []
-        for kx, cx in x.terms:
-            for ky, cy in y.terms:
-                out = kernel(kx, ky, cfg)
-                if out:
-                    cxy = cx * cy
-                    terms.extend((kz, cxy * cz) for kz, cz in out)
-        return LElement.from_terms(terms)
+        for (kx, cx), (ky, cy) in pairs(x, sx, y, sy):
+            out = kernel(kx, ky, cfg)
+            if out:
+                cxy = cx * cy
+                terms.extend((kz, cxy * cz) for kz, cz in out)
+        return LElement.from_terms(terms) if terms else LElement.zero()
 
     return op
 
 
 BilinearOp = Callable[[LElement, LElement, Config], LElement]
 
-triangleright: BilinearOp = _bilinear(_tri_kernel)
-bracket: BilinearOp = _bilinear(_bracket_kernel)
-diamond: BilinearOp = _bilinear(_diamond_kernel)
+triangleright: BilinearOp = _bilinear(_tri_kernel, _tri_pairs)
+bracket: BilinearOp = _bilinear(_bracket_kernel, _bracket_pairs)
+diamond: BilinearOp = _bilinear(_diamond_kernel, _meeting_pairs)
 
 
 def btr(x: LElement, y: LElement, cfg: Config) -> LElement:

@@ -16,13 +16,16 @@ recursion, folds every sum with + and multiplies the decorations of a word
 letter by letter, so it shares no memo and no merge with the library.
 Words act on words through ``brute_ext_action_word``, the Guin-Oudom
 recursion with the same discipline, its letters multiplied by the public
-letter product of the structure (``triangleright`` or ``btr``).
+letter product of the structure (``triangleright`` or ``btr``).  A word acts
+on one letter through ``brute_letter_action``, a closed form over the shifts
+of the word that shares no code with that recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, perm
 
 from postliemi.derivations import (
     DOp,
@@ -336,6 +339,41 @@ def brute_ext_action_word(struct, u, v, cfg: Config) -> SymElement:
         left = brute_ext_action_word(struct, u1, y, cfg)
         right = brute_ext_action_word(struct, u2, rest, cfg)
         out = out + _brute_mul(struct, left, right, cfg).scale(count)
+    return out
+
+
+def brute_letter_action(struct, u, y, cfg: Config) -> SymElement:
+    """u > y for one letter y, in closed form.  The empty word acts as the
+    identity and a nonempty word kills a shift.  On a tilt y = z^g D^(n),
+    with s_i the number of copies of P_i in u,
+
+        u > y = sum_{t <= s} prod_i C(s_i, t_i) (-1)^t_i n_i! / (n_i - t_i)!
+                    rho_bar(u - t)(z^g) (x) D^(n - t)
+
+    in the btr structure, where u - t drops t_i copies of each P_i: the
+    shifts of u that do not act on the decoration lower D^(n).  In the jz
+    structure a shift does not lower D^(n), and only t = 0 remains."""
+    if not u:
+        return SymElement.single((y,))
+    if isinstance(y, Shift):
+        return SymElement.zero()
+    s = [sum(1 for k in u if k == Shift(i)) for i in range(1, cfg.d + 1)]
+    ts = product(*(range(si + 1) for si in s)) if struct.name == "btr" else [(0,) * cfg.d]
+    out = SymElement.zero()
+    for t in ts:
+        c = 1
+        for si, ti, ni in zip(s, t, y.n):
+            c *= comb(si, ti) * (-1) ** ti * perm(ni, ti)  # perm is 0 when ti > ni
+        if not c:
+            continue
+        rest = list(u)
+        for i, ti in enumerate(t, start=1):
+            for _ in range(ti):
+                rest.remove(Shift(i))
+        n = tuple(ni - ti for ni, ti in zip(y.n, t))
+        acted = brute_rho_bar_word(struct, rest, Polynomial.monomial(y.gamma), cfg)
+        for h, ch in acted.terms:
+            out = out + SymElement.single((Tilt(h, n),), c * ch)
     return out
 
 

@@ -4,7 +4,6 @@ pairing, and the dual coproduct."""
 import pickle
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -53,13 +52,14 @@ from postliemi.enveloping import (
     tmap,
     word_mults,
 )
-from postliemi.representation import coaction_contributions, rho_bar_word
+from postliemi.representation import coaction_contributions
 from postliemi.walks import splits
 
 from oracles import (
     brute_dual_coproduct,
     brute_dual_table,
     brute_ext_action_word,
+    brute_letter_action,
     brute_letters,
     brute_pbw_normal_form,
     brute_pbw_rank,
@@ -382,29 +382,6 @@ def test_repeated_letters_split_with_their_multiplicity(struct, u, v):
     assert star_word(struct, u, v, CFG) == brute_star_word(struct, u, v, CFG)
 
 
-def _action_on_a_tilt(struct, u, y, cfg: Config) -> SymElement:
-    """u > y for a tilt y = z^gamma D^(n), read from the action of words on
-    polynomials.  The letters of u act on the decoration through
-    rho_bar_word; with btr a set of shifts of u may instead lower D^(n), each
-    P_i taking D(m) to -m_i D(m - e_i)."""
-    terms = []
-    for size in range(len(u) + 1):
-        for chosen in combinations(range(len(u)), size):
-            lowering = [u[i] for i in chosen]
-            if lowering and (struct is STRUCT_JZ or not all(isinstance(k, Shift) for k in lowering)):
-                continue
-            n, c = list(y.n), 1
-            for p in lowering:
-                c *= -n[p.i - 1]
-                n[p.i - 1] -= 1
-            if not c:
-                continue
-            s = sym_word(u[i] for i in range(len(u)) if i not in chosen)
-            acted = rho_bar_word(struct, s, Polynomial.monomial(y.gamma), cfg)
-            terms.extend(((Tilt(h, tuple(n)),), c * ch) for h, ch in acted.terms)
-    return SymElement.from_terms(terms)
-
-
 @pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
 @settings(max_examples=100, deadline=None)
 @given(st.data())
@@ -412,7 +389,31 @@ def test_action_on_a_tilt_is_the_action_on_its_decoration(struct, data):
     cfg = data.draw(st.sampled_from(PBW_CFGS))
     u = _draw_word(data, _draw_alphabet(data, cfg), 4)
     y = data.draw(st.sampled_from(PBW_POOLS[cfg][cfg.d :]))
-    assert ext_action_word(struct, u, (y,), cfg) == _action_on_a_tilt(struct, u, y, cfg)
+    assert ext_action_word(struct, u, (y,), cfg) == brute_letter_action(struct, u, y, cfg)
+
+
+LETTER_CFGS = [Config(2, Fraction(1, 2)), Config(2, Fraction(1, 3)), Config(3, Fraction(3, 4))]
+LETTER_POOLS = {cfg: basis_pool(cfg, gamma_limit=Fraction(1), max_norm=3) for cfg in LETTER_CFGS}
+ACTED_POOLS = {cfg: basis_pool(cfg, gamma_limit=Fraction(3, 2), max_norm=3) for cfg in LETTER_CFGS}
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_action_on_one_letter_matches_the_closed_form(struct, data):
+    # up to n_i + 1 copies of each P_i that lowers the letter, four at most,
+    # so the lowering sum of btr runs past n_i; the rest of the six letters
+    # drawn from the pool, so that decorated letters act as well
+    cfg = data.draw(st.sampled_from(LETTER_CFGS), label="cfg")
+    y = data.draw(st.sampled_from(ACTED_POOLS[cfg]), label="y")
+    forced = []
+    if isinstance(y, Tilt):
+        for i, ni in enumerate(y.n, start=1):
+            forced += [Shift(i)] * data.draw(st.integers(0, ni + 1))
+    forced = forced[:4]
+    others = data.draw(st.lists(st.sampled_from(LETTER_POOLS[cfg]), max_size=6 - len(forced)))
+    u = sym_word(forced + others)
+    assert ext_action_word(struct, u, (y,), cfg) == brute_letter_action(struct, u, y, cfg)
 
 
 @pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
@@ -720,14 +721,18 @@ def test_clear_memos_empties_every_table_and_keeps_results():
     import postliemi
     import postliemi.enveloping as env
     import postliemi.representation as rep
-    from postliemi.representation import coaction_contributions
+    from postliemi.representation import coaction_contributions, rho_bar_word
 
     def compute():
         x = parse_l_key("z{k0:2,(1,0):1}xD(0,0)", 2)
+        g = MultiIndex.from_dict({0: 2, (1, 0): 1})
         return (
             dual_coproduct((x, P1), CFG34),
-            coaction_contributions(MultiIndex.from_dict({0: 2, (1, 0): 1}), CFG34),
+            coaction_contributions(g, CFG34),
             star(STRUCT_BTR, elem(x), elem(Z0D10), CFG34),
+            # the coaction reads the transpose only; the forward psi table
+            # is filled by the action of a word
+            rho_bar_word(STRUCT_BTR, (P1, x), Polynomial.monomial(g), CFG34),
         )
 
     tables = [env._ACTION_CACHE, env._DUAL_LETTER_CACHE, rep._PSI_CACHE, rep._PSI_ADJOINT_CACHE]

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postliemi import postlie
 from postliemi.derivations import DOp, Partial
 from postliemi.errors import DimensionMismatch
 from postliemi.multiindex import (
@@ -63,6 +64,7 @@ from oracles import (
 )
 
 CFG = Config(2, Fraction(1, 2))
+CFG13 = Config(2, Fraction(1, 3))
 CFG34 = Config(2, Fraction(3, 4))
 
 
@@ -159,21 +161,25 @@ ORACLE_PAIRS = [
 ]
 
 
-def l_keys(d):
-    """Shifts, undecorated tilts (zero n included) and tilts decorated with
-    counting and direction keys, all over dimension d."""
-    ns = st.tuples(*[st.integers(0, 2)] * d)
+def decorations(d):
+    """Decorations over dimension d: up to three counting and direction keys."""
     unit_dirs = [tuple(int(j == i) for j in range(d)) for i in range(d)]
     direction_keys = unit_dirs + [(1,) * d, (2,) + (0,) * (d - 1)]
-    decorations = st.dictionaries(
+    return st.dictionaries(
         st.one_of(st.integers(0, 3), st.sampled_from(direction_keys)),
         st.integers(1, 2),
         max_size=3,
     ).map(MultiIndex.from_dict)
+
+
+def l_keys(d):
+    """Shifts, undecorated tilts (zero n included) and tilts decorated with
+    counting and direction keys, all over dimension d."""
+    ns = st.tuples(*[st.integers(0, 2)] * d)
     return st.one_of(
         st.integers(1, d).map(Shift),
         ns.map(lambda n: Tilt(MultiIndex.zero(), n)),
-        st.builds(Tilt, decorations, ns),
+        st.builds(Tilt, decorations(d), ns),
     )
 
 
@@ -246,6 +252,105 @@ def test_a_zero_left_operand_gives_zero_whatever_the_right_holds(data):
     for op, oracle in ORACLE_PAIRS[:3]:
         assert op(LElement.zero(), y, cfg).is_zero
         assert oracle(LElement.zero(), y, cfg).is_zero
+
+
+# -- the key pairs that reach the kernels ------------------------------------
+
+
+@st.composite
+def meeting_elements(draw, d):
+    """x holding P_i and a tilt with n_j != 0, y holding P_j and a tilt with
+    n_i != 0, each with up to one more key: the (shift, tilt) and the
+    (tilt, shift) pairs of x and y meet in both orders."""
+    coeffs = st.sampled_from([Fraction(-2), Fraction(-1), Fraction(1, 2), Fraction(3)])
+
+    def lowering(k):
+        n = list(draw(st.tuples(*[st.integers(0, 2)] * d)))
+        n[k - 1] = draw(st.integers(1, 3))
+        return Tilt(draw(decorations(d)), tuple(n))
+
+    i, j = draw(st.integers(1, d)), draw(st.integers(1, d))
+    out = []
+    for shift, tilt_ in ((Shift(i), lowering(j)), (Shift(j), lowering(i))):
+        keys = [shift, tilt_] + draw(st.lists(l_keys(d), max_size=1))
+        out.append(LElement.from_terms((k, draw(coeffs)) for k in keys))
+    return out
+
+
+MEETING_CFGS = [Config(2, Fraction(1, 2)), Config(3, Fraction(3, 4))]
+
+
+@pytest.mark.parametrize("cfg", MEETING_CFGS, ids=["d2", "d3"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_products_of_meeting_shifts_and_tilts_match_the_factorized_rules(cfg, data):
+    x, y = data.draw(meeting_elements(cfg.d))
+    for a, b in ((x, y), (y, x)):
+        for op, oracle in ORACLE_PAIRS[:5]:
+            assert op(a, b, cfg) == oracle(a, b, cfg)
+
+
+@pytest.mark.parametrize("cfg", MEETING_CFGS, ids=["d2", "d3"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_derivation_products_run_only_where_they_are_nonzero(cfg, data):
+    # [D1, D2] and D1 <> D2 of basis derivations vanish unless a shift P_i
+    # meets a tilt with n_i != 0; the products call them on no other pair
+    x, y = data.draw(meeting_elements(cfg.d))
+    z = data.draw(l_elements(cfg.d))
+    results = []
+
+    def spy(kernel):
+        def run(D1, D2):
+            results.append(kernel(D1, D2))
+            return results[-1]
+
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("compose_commutator", "derivation_diamond"):
+            mp.setattr(postlie, name, spy(getattr(postlie, name)))
+        for a, b in ((x, y), (y, x), (x, z), (z, x)):
+            for op in (bracket, diamond, bbracket):
+                op(a, b, cfg)
+    assert results and all(not r.is_zero for r in results)
+
+
+def test_an_element_read_at_d2_is_still_refused_at_d3():
+    # the tilt lowers direction 2 only and P1 meets nothing in it, so no
+    # kernel runs: only the check of the keys refuses the pair at d = 3
+    x = tilt({0: 1}, (0, 1)) + P1
+    y = P1 + tilt({0: 2}, (0, 0))
+    d2, d3 = Config(2, Fraction(1, 2)), Config(3, Fraction(1, 2))
+    for a, b in ((x, y), (y, x)):
+        for op, oracle in ORACLE_PAIRS:
+            assert op(a, b, d2) == oracle(a, b, d2)
+            with pytest.raises(DimensionMismatch):
+                op(a, b, d3)
+            assert op(a, b, d2) == oracle(a, b, d2)
+    with pytest.raises(DimensionMismatch):
+        triangleright(P1, y, d3)
+
+
+def test_one_tilt_gives_the_same_products_under_two_configs_of_one_dimension():
+    x = P1 + tilt({0: 1}, (1, 0)) + P2.scale(3)
+    y = LElement.single(Tilt(MultiIndex.from_dict({0: 2, (1, 0): 1}), (1, 1)))
+    fresh = tilt({0: 2, (1, 0): 1}, (1, 1))
+    calls = []
+    real = postlie.apply_to_monomial
+
+    def counted(D, g, cfg):
+        calls.append((D, cfg))
+        return real(D, g, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(postlie, "apply_to_monomial", counted)
+        for cfg in (CFG, CFG13, CFG, CFG13):
+            for op, oracle in ORACLE_PAIRS[:5]:
+                assert op(x, y, cfg) == oracle(x, y, cfg) == op(x, fresh, cfg)
+    # D(z^gamma) is read once per tilt object (y's and fresh's), derivation
+    # of x (P1, P2 and D(1,0)) and config, then read back from the tilt
+    assert len(calls) == 2 * 3 * 2 == 2 * len(set(calls))
 
 
 # -- torsion, curvature, Bianchi ---------------------------------------------
