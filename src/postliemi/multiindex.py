@@ -252,19 +252,22 @@ class MultiIndex:
 
     def sub(self, other: "MultiIndex") -> "MultiIndex":
         """Pointwise difference; raises ValueError if any entry goes negative."""
+        out = self.try_sub(other)
+        if out is None:
+            raise ValueError("subtraction would make an entry negative")
+        return out
+
+    def try_sub(self, other: "MultiIndex") -> "MultiIndex | None":
+        """Pointwise difference, or None if any entry would go negative.
+        Raises DimensionMismatch on direction keys of two dimensions."""
         self._check_dims(other)
         acc = dict(self.entries)
         for k, m in other.entries:
-            acc[k] = acc.get(k, 0) - m
-            if acc[k] < 0:
-                raise ValueError(f"subtraction would make {k!r} negative")
+            left = acc.get(k, 0) - m
+            if left < 0:
+                return None
+            acc[k] = left
         return _trusted(acc)
-
-    def try_sub(self, other: "MultiIndex") -> "MultiIndex | None":
-        try:
-            return self.sub(other)
-        except ValueError:
-            return None
 
     def divisors(self) -> Iterator["MultiIndex"]:
         """All componentwise sub-multi-indices, the zero index included."""

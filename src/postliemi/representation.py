@@ -41,12 +41,32 @@ transpose, applied to z^(target - front) once per word, gives both the
 sources with a nonzero coefficient and those coefficients.  The transposes
 are memoized as long as psi_word.  The dual coproduct of a letter is read
 from the same coaction.
+
+Two exact degree invariants keep the enumeration from forming words whose
+transpose is empty.  Write rem = target - front, K(g) = sum_k k g_k over
+the counting keys, N(g) for the number of direction factors and T for the
+number of chosen tilts.
+
+1. Ladder weight.  Every basis derivation raises K by 1 or leaves it: D(0)
+   and the ladder branch of P_i raise it, D(n != 0) and the raising branch
+   of P_i leave it.  A diamond term never removes a D(0), since
+   P_i <> D(0) = 0.  So a nonempty transpose needs K(rem) at least the
+   number of chosen tilts with n = 0.  Down the tilt search K(rem) only
+   falls and that number only grows, so a failure cuts the whole branch.
+2. Source degree when no counting key is left.  Every derivation keeps the
+   number of counting factors, so if rem has none, neither has the source
+   beta, and no ladder step can act.  Each tilt derivation then removes
+   exactly one direction factor and the shifts only raise or are absorbed
+   by a diamond term, so beta has N(rem) + T direction factors, each of
+   norm at least 1.  Its direction degree b(beta) is the direction budget
+   less the m shifts, so m is at most that budget less N(rem) + T.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .derivations import (
@@ -58,7 +78,7 @@ from .derivations import (
     derivation_rank,
     diamond as derivation_diamond,
 )
-from .enveloping import Structure, SymElement, SymWord, _word_rank, sigma, sym_word
+from .enveloping import Structure, SymElement, SymWord, _word_rank, sigma
 from .multiindex import Config, MultiIndex, homogeneity, n_norm
 from .polyalg import Polynomial
 from .postlie import (
@@ -191,6 +211,11 @@ def _psi_adjoint(ds: tuple, h: MultiIndex, cfg: Config) -> dict:
     return out
 
 
+def _ladder_weight(g: MultiIndex) -> int:
+    """K(g) = sum_k k g_k over the counting keys of g."""
+    return sum(k * m for k, m in g.entries if isinstance(k, int))
+
+
 def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     """All (word, source, coefficient) triples of the coaction on z^target.
 
@@ -199,37 +224,61 @@ def coaction_contributions(target: MultiIndex, cfg: Config) -> tuple:
     word u so formed, the transpose of its derivation action, applied to
     z^(target - front), gives exactly the sources with a nonzero
     coefficient, and each coefficient before the division by sigma(u).
+
+    Two necessary conditions for a nonempty transpose keep dead words from
+    being formed (module docstring): the ladder weight K(rem) of
+    rem = target - front must reach the number of chosen ladder tilts
+    D(0), which cuts a branch of the tilt search, and when rem has no
+    counting key the shift count is at most the direction budget less the
+    N(rem) + T direction factors of the source.  Tilts are chosen in
+    canonical order and shifts come first in it, so each word is built
+    sorted; its derivations are the shifts' followed by the tilts', sorted
+    once per choice of tilts.
     """
     ht = homogeneity(target)
-    letters = sorted(divisor_tilts(target, cfg), key=structural_rank)
+    letters = [(x, not any(x.n)) for x in sorted(divisor_tilts(target, cfg), key=structural_rank)]
     units = [Shift(i) for i in range(1, cfg.d + 1)]
     results = []
 
     def finish(tilts: list, rem: MultiIndex):
-        b_budget = ht.b - sum(homogeneity(t.gamma).b - n_norm(t.n) for t in tilts)
+        max_shifts = ht.b - sum(homogeneity(t.gamma).b - n_norm(t.n) for t in tilts)
+        if not rem.k_entries():
+            # the source has N(rem) + T direction factors, each of norm >= 1
+            max_shifts -= rem.total() + len(tilts)
         # a shift in any other direction acts as zero (module docstring)
         live = sorted(
             {i for nkey, _ in rem.n_entries() for i, a in enumerate(nkey) if a}
             | {i for t in tilts for i, a in enumerate(t.n) if a}
         )
-        for m in range(b_budget + 1):
+        tilt_word = tuple(tilts)
+        tilt_ds = tuple(sorted((key_derivation(t) for t in tilts), key=derivation_rank))
+        tilt_sigma = sigma(tilt_word)
+        for m in range(max_shifts + 1):
             for spread in compositions(m, len(live)):
-                u = sym_word(tilts + [units[i] for i, k in zip(live, spread) for _ in range(k)])
-                ds = tuple(sorted((key_derivation(k) for k in u), key=derivation_rank))
-                for beta, c in _psi_adjoint(ds, rem, cfg).items():
-                    results.append(Contribution(u, beta, c / sigma(u)))
+                shifts = [units[i] for i, k in zip(live, spread) for _ in range(k)]
+                ds = tuple(key_derivation(x) for x in shifts) + tilt_ds
+                adjoint = _psi_adjoint(ds, rem, cfg)
+                if not adjoint:
+                    continue
+                u = tuple(shifts) + tilt_word
+                s = tilt_sigma * prod(factorial(k) for k in spread)
+                for beta, c in adjoint.items():
+                    results.append(Contribution(u, beta, c / s))
 
-    def choose(i: int, tilts: list, rem: MultiIndex):
+    def choose(i: int, tilts: list, rem: MultiIndex, ladders: int):
         finish(tilts, rem)
-        gamma = left = None
+        gamma = room = None
         for j in range(i, len(letters)):
+            x, ladder = letters[j]
             # the letters of one decoration are adjacent: one subtraction each
-            if letters[j].gamma != gamma:
-                gamma = letters[j].gamma
+            if x.gamma != gamma:
+                gamma = x.gamma
                 left = rem.try_sub(gamma)
-            if left is not None:
-                choose(j, tilts + [letters[j]], left)
+                room = -1 if left is None else _ladder_weight(left) - ladders
+            # K(rem) only falls and the ladder count only grows down the search
+            if room >= ladder:
+                choose(j, tilts + [x], left, ladders + ladder)
 
-    choose(0, [], target)
+    choose(0, [], target, 0)
     results.sort(key=lambda r: (_word_rank(r.word), r.source.sort_rank()))
     return tuple(results)

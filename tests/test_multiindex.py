@@ -140,6 +140,8 @@ def test_mixed_dimensions_still_raise(g1, g2):
     with pytest.raises(DimensionMismatch):
         g1.sub(g2)
     with pytest.raises(DimensionMismatch):
+        g1.try_sub(g2)
+    with pytest.raises(DimensionMismatch):
         MultiIndex.sum_of([g1, g2])
 
 

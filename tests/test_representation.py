@@ -2,6 +2,7 @@
 extension, the recursion behind it, and the coaction enumeration."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from postliemi.postlie import LElement, Shift, Tilt, grand_bracket
 from postliemi.enveloping import STRUCT_BTR, STRUCT_JZ, sigma, star_word, sym_word
 from postliemi.representation import (
     Contribution,
+    _ladder_weight,
     _psi_adjoint,
     coaction_contributions,
     psi_apply,
@@ -293,6 +295,30 @@ def test_psi_adjoint_is_the_transpose_of_the_recursion(d, data):
             assert c != 0 and brute_psi_word(ds, source, cfg).coeff(h) == c
 
 
+def test_psi_adjoint_is_empty_where_a_degree_invariant_fails():
+    # the two necessary conditions that prune the coaction, read off (ds, h)
+    # alone: K(h) >= the number of ladders D(0) in ds; and when h has no
+    # counting key, the shift count is at most b(h) + sum |n| - N(h) - T,
+    # with T the number of D(n) in ds and N(h) the direction factors of h
+    alphabet = [Partial(1), Partial(2)] + [DOp(n) for n in ((0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0))]
+    words = [w for size in range(4) for w in combinations_with_replacement(alphabet, size)]
+    at_ladder_bound = at_shift_bound = 0
+    for h in enumerate_below_value(Fraction(3), CFG34):
+        for ds in words:
+            adj = _psi_adjoint(ds, h, CFG34)
+            tilts = [D for D in ds if isinstance(D, DOp)]
+            slack = _ladder_weight(h) - sum(1 for D in tilts if not any(D.n))
+            assert slack >= 0 or not adj
+            at_ladder_bound += slack == 0 and bool(adj)
+            if not h.k_entries():
+                top = homogeneity(h).b + sum(sum(D.n) for D in tilts) - h.total() - len(tilts)
+                shifts = len(ds) - len(tilts)
+                assert shifts <= top or not adj
+                at_shift_bound += shifts == top and bool(adj)
+    # neither bound can be tightened by one
+    assert at_ladder_bound and at_shift_bound
+
+
 # -- against the unmemoized evaluator ---------------------------------------
 
 letter_words = st.lists(
@@ -390,6 +416,20 @@ def test_coaction_matches_the_brute_scan_where_shifts_contribute():
     for target in targets:
         got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG3)}
         assert any(isinstance(x, Shift) for word, _ in got for x in word)
+        assert got == brute_coaction(target, CFG3)
+
+
+def test_coaction_matches_the_brute_scan_on_direction_only_targets():
+    # with no counting key the shift count is bounded by the direction
+    # factors of the source; every term here but the empty word on z_(1,1,0)
+    # sits on that bound, the shift terms P_i z_(e_j) -> z_(1,1,0) included
+    targets = [
+        MultiIndex.single((1, 1, 0)),
+        MultiIndex.single((0, 0, 1), 2),
+        MultiIndex.single((1, 0, 0)) + MultiIndex.single((0, 1, 0)),
+    ]
+    for target in targets:
+        got = {(c.word, c.source): c.coeff for c in coaction_contributions(target, CFG3)}
         assert got == brute_coaction(target, CFG3)
 
 
