@@ -7,12 +7,14 @@ algebra on the keys; under ``star`` they carry the associative product
     u * v = sum u^(1) (u^(2) > v)
 
 built from the Guin-Oudom extension ``ext_action`` of a letter-level product
-to words.  Two structures are supported:
+to words.  The structures are one family: deforming the post-Lie pair
+(>, [.,.]) by <> gives the letter product > + lambda <> with bracket
+(1 - lambda)[.,.].  A ``Structure`` holds lambda; two values are supported:
 
-* ``STRUCT_JZ``: letter product >, letter bracket [.,.]; words multiply by
-  concatenation followed by ``pbw_normal_form``;
-* ``STRUCT_BTR``: letter product btr, zero bracket; words multiply by
-  multiset union.
+* ``STRUCT_JZ``, lambda = 0: letter product >, bracket [.,.]; words
+  multiply by concatenation followed by ``pbw_normal_form``;
+* ``STRUCT_BTR``, lambda = 1: letter product btr = > + <>, zero bracket;
+  words multiply by multiset union.
 
 ``coshuffle`` is the coproduct with primitive letters; on a word it sums
 multiset splittings with binomial multiplicities, which is simultaneously
@@ -62,7 +64,6 @@ from .postlie import (
     _keys_commute,
     _tri_kernel,
     bracket,
-    btr,
     check_key_dim,
     key_degree,
     key_in_L,
@@ -70,8 +71,6 @@ from .postlie import (
     pbw_rank,
     print_l_key,
     structural_rank,
-    triangleright,
-    zero_op,
 )
 from .text import print_sum
 from .walks import compositions, splits
@@ -176,17 +175,14 @@ def coshuffle(u: SymElement) -> TensorElement:
 
 @dataclass(frozen=True)
 class Structure:
-    """A letter product with its bracket; picks the word multiplication."""
+    """Letter product > + lam <> with bracket (1 - lam)[.,.], for lam = 0
+    (jz) or 1 (btr): another lam also needs psi deformed by lam."""
 
-    name: str  # "jz" or "btr"
+    lam: int
 
-    @property
-    def prod(self):
-        return triangleright if self.name == "jz" else btr
-
-    @property
-    def lie(self):
-        return bracket if self.name == "jz" else zero_op
+    def __post_init__(self):
+        if self.lam not in (0, 1):
+            raise ValueError(f"structure parameter must be 0 or 1, got {self.lam}")
 
     def mul_words(self, w1: SymWord, w2: SymWord, cfg: Config) -> SymElement:
         return self.mul(SymElement.single(w1), SymElement.single(w2), cfg)
@@ -197,8 +193,8 @@ class Structure:
         return SymElement.from_terms(acc.items())
 
 
-STRUCT_JZ = Structure("jz")
-STRUCT_BTR = Structure("btr")
+STRUCT_JZ = Structure(0)
+STRUCT_BTR = Structure(1)
 STRUCTURES = {"jz": STRUCT_JZ, "btr": STRUCT_BTR}
 
 
@@ -290,18 +286,18 @@ def _sorts_freely(seq: tuple) -> bool:
 def _mul_into(acc: dict, struct: Structure, u_terms, v_terms, scale, cfg: Config) -> None:
     """acc += scale * u * v for the words of u and v given by their terms.
 
-    A concatenation whose inverted letters all commute is sorted, not
-    rewritten: with the btr structure always, with jz unless
-    ``_sorts_freely`` says otherwise.
+    The bracket (1 - lam)[.,.] vanishes at lam = 1, where a concatenation
+    is only sorted.  At lam = 0 it is straightened with [.,.], unless
+    ``_sorts_freely`` shows that its inverted letters all commute.
     """
-    jz = struct.name == "jz"
+    straighten = struct.lam != 1
     for w1, c1 in u_terms:
         c1 *= scale
         for w2, c2 in v_terms:
             seq = w1 + w2
-            if jz and not _sorts_freely(seq):
+            if straighten and not _sorts_freely(seq):
                 c = c1 * c2
-                for w, cw in pbw_normal_form(seq, struct.lie, cfg).terms:
+                for w, cw in pbw_normal_form(seq, bracket, cfg).terms:
                     _add_into(acc, w, c * cw)
             else:
                 _add_into(acc, sym_word(seq), c1 * c2)
@@ -319,7 +315,7 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
     word through the counit; (x v) > w = x > (v > w) - (x > v) > w peels one
     letter; u > (v w) splits u through the coproduct.
     """
-    key = (struct.name, u, v, cfg)
+    key = (struct.lam, u, v, cfg)
     hit = _ACTION_CACHE.get(key)
     if hit is not None:
         return hit
@@ -332,7 +328,7 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
         check_key_dim(kx, cfg.d)
         check_key_dim(ky, cfg.d)
         terms = _tri_kernel(kx, ky, cfg)
-        if struct.name == "btr":
+        if struct.lam:
             terms = terms + _diamond_kernel(kx, ky, cfg)
         out = SymElement.from_terms(((k,), c) for k, c in terms)
     elif len(v) == 1:

@@ -89,7 +89,6 @@ from .postlie import (
     divisor_tilts,
     key_derivation,
     key_poly,
-    pbw_rank,
     structural_rank,
 )
 from .walks import compositions
@@ -152,17 +151,15 @@ def rho_bar_word(struct: Structure, w: Sequence[LBasisKey], p: Polynomial, cfg: 
     """Product of the decorations times the derivation-word action.
 
     The decorations multiply to the single monomial z^front, front the sum
-    of the tilt decorations (a shift has none).  In the btr structure the
-    derivation part is psi_word; with the plain structure the diamond terms
-    vanish and it degenerates to composition in the fixed word order.
+    of the tilt decorations (a shift has none).  The derivations, sorted by
+    ``derivation_rank``, act through psi_word at lam = 1 (btr); at lam = 0
+    (jz) the diamond terms vanish and they compose, shifts applied last.
+    That is the composition in PBW order: both orders put the shifts first,
+    and shift derivations commute among themselves, as do tilt derivations.
     """
     front = MultiIndex.sum_of(key.gamma for key in w if isinstance(key, Tilt))
-    if struct.name == "btr":
-        ds = tuple(sorted((key_derivation(k) for k in w), key=derivation_rank))
-        acted = psi_apply(ds, p, cfg)
-    else:
-        ordered = sorted(w, key=lambda k: pbw_rank(k, cfg))
-        acted = apply_word([key_derivation(k) for k in ordered], p, cfg)
+    ds = tuple(sorted((key_derivation(k) for k in w), key=derivation_rank))
+    acted = psi_apply(ds, p, cfg) if struct.lam else apply_word(ds, p, cfg)
     return Polynomial.monomial(front) * acted
 
 

@@ -28,6 +28,7 @@ from .enveloping import (
     EMPTY_WORD,
     STRUCT_BTR,
     STRUCT_JZ,
+    STRUCTURES,
     SymElement,
     _word_rank,
     coshuffle,
@@ -279,7 +280,7 @@ def run_hopf(samples: int | None, seed: int) -> SuiteResult:
     rng = random.Random(seed)
     pool = _word_pool(cfg)
     half = max(n // 2, 1)
-    for struct in (STRUCT_JZ, STRUCT_BTR):
+    for name, struct in STRUCTURES.items():
         for _ in range(n):
             u = SymElement.single(_sample_word(rng, pool, 3))
             v = SymElement.single(_sample_word(rng, pool, 3))
@@ -288,7 +289,7 @@ def run_hopf(samples: int | None, seed: int) -> SuiteResult:
             rhs = star(struct, u, star(struct, v, w, cfg), cfg)
             if lhs != rhs:
                 res.violations.append(
-                    f"associativity[{struct.name}]: {print_sym_element(u, cfg)} ; "
+                    f"associativity[{name}]: {print_sym_element(u, cfg)} ; "
                     f"{print_sym_element(v, cfg)} ; {print_sym_element(w, cfg)}"
                 )
         for _ in range(half):
@@ -298,7 +299,7 @@ def run_hopf(samples: int | None, seed: int) -> SuiteResult:
             rhs = star(struct, phi(struct, s1, cfg), phi(struct, s2, cfg), cfg)
             if lhs != rhs:
                 res.violations.append(
-                    f"concat-morphism[{struct.name}]: "
+                    f"concat-morphism[{name}]: "
                     f"{print_word(sym_word(s1), cfg)} then {print_word(sym_word(s2), cfg)}"
                 )
     # coproduct compatibility, in all three places it holds: the splitting
@@ -361,7 +362,7 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
         p = Polynomial.from_terms(terms)
         return p if not p.is_zero else Polynomial.monomial(MultiIndex.zero())
 
-    for struct in (STRUCT_JZ, STRUCT_BTR):
+    for name, struct in STRUCTURES.items():
         for _ in range(n):
             u = SymElement.single(_sample_word(rng, pool, 2))
             v = SymElement.single(_sample_word(rng, pool, 2))
@@ -370,7 +371,7 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
             rhs = rho_bar(struct, u, rho_bar(struct, v, p, cfg), cfg)
             if lhs != rhs:
                 res.violations.append(
-                    f"star-morphism[{struct.name}]: {print_sym_element(u, cfg)} ; "
+                    f"star-morphism[{name}]: {print_sym_element(u, cfg)} ; "
                     f"{print_sym_element(v, cfg)} on {print_polynomial(p, cfg)}"
                 )
         for _ in range(half):
@@ -380,7 +381,7 @@ def run_representation(samples: int | None, seed: int) -> SuiteResult:
             rhs = rho_bar(struct, phi(struct, seq, cfg), p, cfg)
             if lhs != rhs:
                 res.violations.append(
-                    f"composition-vs-star[{struct.name}]: {print_word(sym_word(seq), cfg)}"
+                    f"composition-vs-star[{name}]: {print_word(sym_word(seq), cfg)}"
                 )
     for _ in range(n):
         ds = tuple(key_derivation(k) for k in _sample_word(rng, pool, 2))

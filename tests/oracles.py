@@ -15,10 +15,10 @@ ground truth for single candidates.  Words act on polynomials through
 recursion, folds every sum with + and multiplies the decorations of a word
 letter by letter, so it shares no memo and no merge with the library.
 Words act on words through ``brute_ext_action_word``, the Guin-Oudom
-recursion with the same discipline, its letters multiplied by the public
-letter product of the structure (``triangleright`` or ``btr``).  A word acts
-on one letter through ``brute_letter_action``, a closed form over the shifts
-of the word that shares no code with that recursion.
+recursion with the same discipline, its letters multiplied by the letter
+product > + lam <> of the structure, built from the brute kernels below.  A
+word acts on one letter through ``brute_letter_action``, a closed form over
+the shifts of the word that shares no code with that recursion.
 """
 
 from __future__ import annotations
@@ -222,12 +222,12 @@ def brute_psi_apply(ds, p: Polynomial, cfg: Config) -> Polynomial:
 
 
 def brute_rho_bar_word(struct, w, p: Polynomial, cfg: Config) -> Polynomial:
-    """Product of the decorations times the derivation-word action: psi in
-    the btr structure, composition in PBW order in the plain one."""
+    """Product of the decorations times the derivation-word action: psi at
+    lam = 1 (btr), composition in PBW order at lam = 0 (jz)."""
     front = Polynomial.one()
     for key in w:
         front = front * key_poly(key)
-    if struct.name == "btr":
+    if struct.lam:
         ds = tuple(sorted((key_derivation(k) for k in w), key=derivation_rank))
         acted = brute_psi_apply(ds, p, cfg)
     else:
@@ -289,16 +289,16 @@ def brute_word_splits(w) -> dict:
 
 # -- the Guin-Oudom action by its defining recursion -------------------------
 #
-# No memo, every sum folded with +, letters multiplied by the structure's
-# public letter product and words by the literal straightening above (jz) or
-# by multiset union (btr).
+# No memo, every sum folded with +, letters multiplied by > + lam <> and words
+# by the literal straightening above (lam = 0, jz) or by multiset union
+# (lam = 1, btr).
 
 
 def _brute_mul(struct, u: SymElement, v: SymElement, cfg: Config) -> SymElement:
     out = SymElement.zero()
     for w1, c1 in u.terms:
         for w2, c2 in v.terms:
-            if struct.name == "btr":
+            if struct.lam == 1:
                 prod = SymElement.single(sym_word(w1 + w2))
             else:
                 prod = brute_pbw_normal_form(w1 + w2, bracket, cfg)
@@ -324,8 +324,10 @@ def brute_ext_action_word(struct, u, v, cfg: Config) -> SymElement:
     if not v:
         return SymElement.zero()
     if len(u) == 1 and len(v) == 1:
+        x, y = LElement.single(u[0]), LElement.single(v[0])
+        letter = brute_triangleright(x, y, cfg) + brute_diamond(x, y, cfg).scale(struct.lam)
         out = SymElement.zero()
-        for k, c in struct.prod(LElement.single(u[0]), LElement.single(v[0]), cfg).terms:
+        for k, c in letter.terms:
             out = out + SymElement.single((k,), c)
         return out
     if len(v) == 1:
@@ -350,15 +352,15 @@ def brute_letter_action(struct, u, y, cfg: Config) -> SymElement:
         u > y = sum_{t <= s} prod_i C(s_i, t_i) (-1)^t_i n_i! / (n_i - t_i)!
                     rho_bar(u - t)(z^g) (x) D^(n - t)
 
-    in the btr structure, where u - t drops t_i copies of each P_i: the
-    shifts of u that do not act on the decoration lower D^(n).  In the jz
-    structure a shift does not lower D^(n), and only t = 0 remains."""
+    at lam = 1 (btr), where u - t drops t_i copies of each P_i: the shifts
+    of u that do not act on the decoration lower D^(n).  At lam = 0 (jz) a
+    shift does not lower D^(n), and only t = 0 remains."""
     if not u:
         return SymElement.single((y,))
     if isinstance(y, Shift):
         return SymElement.zero()
     s = [sum(1 for k in u if k == Shift(i)) for i in range(1, cfg.d + 1)]
-    ts = product(*(range(si + 1) for si in s)) if struct.name == "btr" else [(0,) * cfg.d]
+    ts = product(*(range(si + 1) for si in s)) if struct.lam else [(0,) * cfg.d]
     out = SymElement.zero()
     for t in ts:
         c = 1

@@ -376,6 +376,18 @@ def test_rhobar_letter_action(capsys):
     assert out == "z{k0:1,k1:1}\n"
 
 
+@pytest.mark.parametrize(
+    "structure, expect",
+    [("jz", "z{k0:1,k1:1,(1,0):1}\n"), ("btr", "2 z{k0:1,k1:1,(1,0):1}\n")],
+    ids=["jz", "btr"],
+)
+def test_rhobar_of_a_shift_and_a_tilt(capsys, structure, expect):
+    # jz composes the derivations with the shift applied last; a tilts-first
+    # order would print the btr value for jz
+    rc, out, err = run(capsys, ["rhobar", structure, "[P1][z{k0:1}xD(1,0)]", "z{k0:1,(1,0):1}"])
+    assert (rc, out, err) == (0, expect, "")
+
+
 @pytest.mark.parametrize("word", ["[P1][P1]", "[P1] [P1]", "[P1]\t[ P1 ]"])
 def test_rhobar_reads_a_word_with_spaces_between_letters(capsys, word):
     rc, out, err = run(capsys, ["rhobar", "btr", word, "z{k0:2}", "--alpha", "1/2"])

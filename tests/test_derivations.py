@@ -2,7 +2,7 @@
 diamond table, and composition words."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -202,6 +202,32 @@ def test_word_examples():
     assert twice == Polynomial.one().scale(2)
     mixed = apply_word([Partial(1), DOp((1, 0))], mono(0) * mono((1, 0)), CFG)
     assert mixed == mono(1) * mono((1, 0))
+    # a shift and a tilt do not commute: the tilt applied last doubles it
+    tilt_last = apply_word([DOp((1, 0)), Partial(1)], mono(0) * mono((1, 0)), CFG)
+    assert tilt_last == mixed.scale(2)
+
+
+@st.composite
+def grouped_words(draw):
+    """A configuration at d = 2 or 3, shift and tilt derivations over it,
+    and a monomial."""
+    d = draw(st.sampled_from([2, 3]))
+    dirs = [n for n in product(range(3), repeat=d) if sum(n) <= 2]
+    shifts = draw(st.lists(st.integers(1, d).map(Partial), max_size=3))
+    tilts = draw(st.lists(st.sampled_from(dirs).map(DOp), max_size=3))
+    key = st.one_of(st.integers(0, 3), st.sampled_from([n for n in dirs if sum(n)]))
+    g = draw(st.dictionaries(key, st.integers(1, 3), max_size=3).map(MultiIndex.from_dict))
+    return Config(d, Fraction(1, 2)), shifts, tilts, Polynomial.monomial(g)
+
+
+@settings(max_examples=60)
+@given(grouped_words())
+def test_word_action_ignores_the_order_within_shifts_and_within_tilts(case):
+    cfg, shifts, tilts, p = case
+    expect = apply_word(shifts + tilts, p, cfg)
+    for s in permutations(shifts):
+        for t in permutations(tilts):
+            assert apply_word(list(s + t), p, cfg) == expect
 
 
 # -- text form ---------------------------------------------------------------

@@ -31,6 +31,7 @@ from postliemi.postlie import (
 from postliemi.enveloping import (
     STRUCT_BTR,
     STRUCT_JZ,
+    Structure,
     SymElement,
     TensorElement,
     TruncationParams,
@@ -148,7 +149,7 @@ def test_single_is_the_one_term_combination(word, c):
     assert SymElement.single(word, c) == SymElement.from_terms([(word, c)])
 
 
-@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR])
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
 @given(sym_elements, sym_elements)
 def test_products_equal_their_folded_definitions(struct, u, v):
     pairs = [(wu, cu, wv, cv) for wu, cu in u.terms for wv, cv in v.terms]
@@ -257,7 +258,13 @@ def test_worked_star_value():
     assert got == expect
 
 
-@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR])
+@pytest.mark.parametrize("lam", [Fraction(1, 2), 2], ids=["1/2", "2"])
+def test_structure_refuses_a_parameter_other_than_0_or_1(lam):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        Structure(lam)
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
 def test_star_associativity_spot(struct):
     a, b, c = elem(P1), elem(Z0D0), elem(Z0D10, P2)
     lhs = star(struct, star(struct, a, b, CFG), c, CFG)
