@@ -166,6 +166,7 @@ def cmd_verify(args) -> int:
                     "checks": r.checks,
                     "violations": r.violations,
                     "notes": r.notes,
+                    "seconds": r.seconds,
                 }
             )
             continue

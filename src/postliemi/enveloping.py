@@ -16,6 +16,15 @@ to words.  The structures are one family: deforming the post-Lie pair
 * ``STRUCT_BTR``, lambda = 1: letter product btr = > + <>, zero bracket;
   words multiply by multiset union.
 
+On one letter y = z^gamma D^(n) the action of a word u factors through the
+representation, so ``ext_action_word`` reads it in closed form instead of
+peeling u letter by letter: the decorations of u multiply out front, its
+derivations act on z^gamma through ``psi_word`` (composed in
+``derivation_rank`` order at lambda = 0), and at lambda = 1 each shift that
+<> absorbs lowers D^(n) by P_i <> D^(m) = -m_i D^(m - e_i).  The
+coefficient of those lowerings, ``_lowering``, also gives the extra shifts
+of ``dual_coproduct_letter``.
+
 ``coshuffle`` is the coproduct with primitive letters; on a word it sums
 multiset splittings with binomial multiplicities, which is simultaneously
 the coproduct of the symmetric algebra and, through the sorted-word basis,
@@ -50,11 +59,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence, Tuple
 
 from .combination import Combination
+from .derivations import Partial, apply_word, derivation_rank
 from .errors import ParseError, TruncationRefused
-from .multiindex import Config, hom_value, n_norm
+from .multiindex import Config, MultiIndex, hom_value, n_norm
+from .polyalg import Polynomial
 from .postlie import (
     LBasisKey,
     LElement,
@@ -63,9 +75,11 @@ from .postlie import (
     _diamond_kernel,
     _keys_commute,
     _tri_kernel,
+    _trusted_tilt,
     bracket,
     check_key_dim,
     key_degree,
+    key_derivation,
     key_in_L,
     parse_l_key,
     pbw_rank,
@@ -308,22 +322,96 @@ def _mul_into(acc: dict, struct: Structure, u_terms, v_terms, scale, cfg: Config
 _ACTION_CACHE: dict = {}
 
 
+def _lowering(s: Sequence[int], n: Sequence[int], t: Sequence[int]) -> int:
+    """L(s, n, t) = prod_i C(s_i, t_i) (-1)^t_i n_i! / (n_i - t_i)!.
+
+    The coefficient with which t_i of s_i copies of each shift P_i lower
+    D^(n) to D^(n - t), each by P_i <> D^(m) = -m_i D^(m - e_i): C(s_i, t_i)
+    ways to choose the copies, times the falling factorial of the factors
+    -m_i.  Zero once some t_i exceeds n_i.
+    """
+    c = 1
+    for si, ni, ti in zip(s, n, t):
+        c *= math.comb(si, ti) * math.perm(ni, ti)
+    return -c if sum(t) % 2 else c
+
+
+def _act_on_letter(struct: Structure, u: SymWord, y: LBasisKey, cfg: Config) -> SymElement:
+    """u > y for a word u of two or more letters and one letter y, in closed
+    form; ``ext_action_word`` states it."""
+    d = cfg.d
+    for k in u:
+        check_key_dim(k, d)
+    check_key_dim(y, d)
+    if isinstance(y, Shift):
+        return SymElement.zero()  # every derivation kills the unit decoration
+    # deferred: representation imports this module
+    from .representation import psi_word
+
+    s = [0] * d
+    front, tilt_ds = MultiIndex.zero(), []
+    for k in u:
+        if isinstance(k, Shift):
+            s[k.i - 1] += 1
+        else:
+            front = front + k.gamma  # most words hold one tilt: no merge
+            tilt_ds.append(key_derivation(k))
+    tilt_ds = tuple(sorted(tilt_ds, key=derivation_rank))
+    n = y.n
+    # L(s, n, t) is zero once t_i > n_i; at lam = 0 only t = 0 is summed
+    tops = [min(si, ni) for si, ni in zip(s, n)] if struct.lam else ()
+    if any(tops):
+        ts = product(*(range(top + 1) for top in tops))
+    else:
+        ts = ((0,) * d,)
+    terms = []
+    for t in ts:
+        c = _lowering(s, n, t)
+        # derivation_rank order, as rho_bar_word sorts: shifts by direction, then tilts
+        ds = tuple(Partial(i) for i, (si, ti) in enumerate(zip(s, t), 1) for _ in range(si - ti))
+        ds += tilt_ds
+        if struct.lam:
+            acted = psi_word(ds, y.gamma, cfg)
+        else:
+            acted = apply_word(ds, Polynomial.monomial(y.gamma), cfg)
+        nt = tuple(ni - ti for ni, ti in zip(n, t))
+        terms.extend(((_trusted_tilt(front + h, nt),), c * ch) for h, ch in acted.terms)
+    return SymElement.from_terms(terms)
+
+
 def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> SymElement:
     """The extension of the letter product to words acting on words.
 
     Defining rules: the empty word acts as the identity; u acts on the empty
     word through the counit; (x v) > w = x > (v > w) - (x > v) > w peels one
     letter; u > (v w) splits u through the coproduct.
+
+    On one letter y = z^gamma D^(n) the peel has a closed form, used for
+    every u of two or more letters.  With s_i the number of copies of P_i
+    in u, front the sum of its tilt decorations and ds(u) its derivations,
+
+        u > y = sum_{t <= s} L(s, n, t) z^front psi[ds(u) less t_i P_i](z^gamma) (x) D^(n - t)
+
+    at lam = 1, with L the ``_lowering`` coefficient.  It is exact because
+    the action factors through the representation: the decorations of u
+    multiply out front, its derivations act on z^gamma through psi_word,
+    and each shift that <> absorbs lowers D^(n) instead.  At lam = 0 no
+    shift lowers D^(n), only t = 0 remains, and the derivations compose
+    with ``apply_word`` in ``derivation_rank`` order, as in ``rho_bar_word``.
+    A nonempty word kills a shift.
+
+    The empty u and the empty v are answered before the memo is read, so
+    the memo holds no entry for them.
     """
+    if not u:
+        return SymElement.single(v)
+    if not v:
+        return SymElement.zero()  # counit of a nonempty word
     key = (struct.lam, u, v, cfg)
     hit = _ACTION_CACHE.get(key)
     if hit is not None:
         return hit
-    if not u:
-        out = SymElement.single(v)
-    elif not v:
-        out = SymElement.zero()  # counit of a nonempty word
-    elif len(u) == 1 and len(v) == 1:
+    if len(u) == 1 and len(v) == 1:
         kx, ky = u[0], v[0]
         check_key_dim(kx, cfg.d)
         check_key_dim(ky, cfg.d)
@@ -332,12 +420,7 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
             terms = terms + _diamond_kernel(kx, ky, cfg)
         out = SymElement.from_terms(((k,), c) for k, c in terms)
     elif len(v) == 1:
-        x, rest = u[0], u[1:]
-        inner = ext_action_word(struct, rest, v, cfg)
-        first = ext_action_elem(struct, SymElement.single((x,)), inner, cfg)
-        xrest = ext_action_word(struct, (x,), rest, cfg)
-        second = ext_action_elem(struct, xrest, SymElement.single(v), cfg)
-        out = first - second
+        out = _act_on_letter(struct, u, v[0], cfg)
     else:
         y, rest = (v[0],), v[1:]
         acc: dict = {}
@@ -453,7 +536,7 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
     z^gamma gives the pairs u = s plus t_i more shifts P_i, y = z^beta
     D^(n + t), for each t with |n + t| < |beta|.  Those shifts act on
     D^(n + t) alone, each P_i lowering it by e_i with factor -(n_i + t_i),
-    in C(s_i + t_i, t_i) ways.
+    in C(s_i + t_i, t_i) ways: the coefficient ``_lowering``(s + t, n + t, t).
     """
     hit = _DUAL_LETTER_CACHE.get((x, cfg))
     if hit is not None:
@@ -475,13 +558,13 @@ def dual_coproduct_letter(x: LBasisKey, cfg: Config) -> TensorElement:
             spare = math.ceil(hom_value(r.source, cfg)) - 1 - n_norm(x.n)  # |n + t| < |beta|
             for m in range(spare + 1):
                 for t in compositions(m, cfg.d):
-                    c = raw * math.prod(
-                        math.comb(s + k, k) * math.perm(n + k, k) for s, k, n in zip(counts, t, x.n)
-                    )
+                    # t of the counts + t shifts of u lower D^(n + t) back to D^(n)
+                    shifts = [a + b for a, b in zip(counts, t)]
+                    nt = tuple(a + b for a, b in zip(x.n, t))
+                    c = raw * _lowering(shifts, nt, t)
                     u = sym_word(r.word + tuple(p for p, k in zip(units, t) for _ in range(k)))
-                    y = Tilt(r.source, tuple(a + b for a, b in zip(x.n, t)))
                     # c is a Fraction, so the division stays exact
-                    terms.append(((u, (y,)), (-1) ** m * c / sigma(u)))
+                    terms.append(((u, (Tilt(r.source, nt),)), c / sigma(u)))
         out = TensorElement.from_terms(terms)
     _DUAL_LETTER_CACHE[(x, cfg)] = out
     return out

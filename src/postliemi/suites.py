@@ -11,6 +11,7 @@ passes "within tolerance".
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,10 +91,14 @@ CFG_THREEQ = Config(d=2, alpha=Fraction(3, 4))
 
 @dataclass
 class SuiteResult:
+    """A suite's outcome; ``seconds`` is the runner's wall time, set by
+    ``run_suite`` and kept out of ``line``, so text output stays stable."""
+
     name: str
     checks: int = 0
     violations: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -527,4 +532,7 @@ SUITES: dict = {
 def run_suite(name: str, samples: int | None = None, seed: int = 0) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {', '.join(sorted(SUITES))}")
-    return SUITES[name](samples, seed)
+    start = time.perf_counter()
+    result = SUITES[name](samples, seed)
+    result.seconds = time.perf_counter() - start
+    return result

@@ -75,6 +75,15 @@ def test_verify_json_shape(capsys):
     assert records[0]["violations"] == []
 
 
+def test_verify_json_records_carry_the_suite_time(capsys):
+    rc, out, _ = run(capsys, ["verify", "bianchi", "flat-diamond", "--samples", "1", "--json"])
+    assert rc == 0
+    records = json.loads(out)
+    assert [r["suite"] for r in records] == ["bianchi", "flat-diamond"]
+    for r in records:
+        assert isinstance(r["seconds"], float) and r["seconds"] >= 0
+
+
 def test_verify_rejects_unknown_suite(capsys):
     rc, _, err = run(capsys, ["verify", "no-such-suite"])
     assert rc == 2

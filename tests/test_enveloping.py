@@ -44,6 +44,7 @@ from postliemi.enveloping import (
     pbw_normal_form,
     phi,
     poly_star,
+    print_sym_element,
     print_word,
     sigma,
     star,
@@ -404,23 +405,69 @@ LETTER_POOLS = {cfg: basis_pool(cfg, gamma_limit=Fraction(1), max_norm=3) for cf
 ACTED_POOLS = {cfg: basis_pool(cfg, gamma_limit=Fraction(3, 2), max_norm=3) for cfg in LETTER_CFGS}
 
 
-@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_action_on_one_letter_matches_the_closed_form(struct, data):
-    # up to n_i + 1 copies of each P_i that lowers the letter, four at most,
-    # so the lowering sum of btr runs past n_i; the rest of the six letters
-    # drawn from the pool, so that decorated letters act as well
-    cfg = data.draw(st.sampled_from(LETTER_CFGS), label="cfg")
-    y = data.draw(st.sampled_from(ACTED_POOLS[cfg]), label="y")
+def _draw_lowering_word(data, cfg: Config, y, max_forced: int, max_len: int):
+    """Up to n_i + 1 copies of each P_i that lowers y, max_forced at most,
+    so the lowering sum of btr runs past n_i; the rest of the max_len
+    letters drawn from the pool, so that decorated letters act as well."""
     forced = []
     if isinstance(y, Tilt):
         for i, ni in enumerate(y.n, start=1):
             forced += [Shift(i)] * data.draw(st.integers(0, ni + 1))
-    forced = forced[:4]
-    others = data.draw(st.lists(st.sampled_from(LETTER_POOLS[cfg]), max_size=6 - len(forced)))
-    u = sym_word(forced + others)
+    forced = forced[:max_forced]
+    pool = st.sampled_from(LETTER_POOLS[cfg])
+    return sym_word(forced + data.draw(st.lists(pool, max_size=max_len - len(forced))))
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_action_on_one_letter_matches_the_closed_form(struct, data):
+    cfg = data.draw(st.sampled_from(LETTER_CFGS), label="cfg")
+    y = data.draw(st.sampled_from(ACTED_POOLS[cfg]), label="y")
+    u = _draw_lowering_word(data, cfg, y, 4, 6)
     assert ext_action_word(struct, u, (y,), cfg) == brute_letter_action(struct, u, y, cfg)
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@pytest.mark.parametrize("cfg", [LETTER_CFGS[0], LETTER_CFGS[2]], ids=["d2", "d3"])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_action_on_one_letter_matches_the_peel_recursion(struct, cfg, data):
+    # the draws of the closed-form test, on shorter words: the peel
+    # (x rest) > y = x > (rest > y) - (x > rest) > y is not memoized
+    y = data.draw(st.sampled_from(ACTED_POOLS[cfg]), label="y")
+    u = _draw_lowering_word(data, cfg, y, 4, 5)
+    assert ext_action_word(struct, u, (y,), cfg) == brute_ext_action_word(struct, u, (y,), cfg)
+
+
+@pytest.mark.parametrize(
+    "struct,expect",
+    [
+        (STRUCT_JZ, "2 [z{k1:1,(2,0):1}xD(2,0)] + 2 [z{k2:1,(1,0):2}xD(2,0)]"),
+        (
+            STRUCT_BTR,
+            "2 [z{k0:1}xD(0,0)] - 4 [z{k1:1,(1,0):1}xD(1,0)]"
+            " + 2 [z{k1:1,(2,0):1}xD(2,0)] + 2 [z{k2:1,(1,0):2}xD(2,0)]",
+        ),
+    ],
+    ids=["jz", "btr"],
+)
+def test_two_shifts_on_a_letter_lower_it_twice_once_or_not(struct, expect):
+    # both copies of P1 lower D(2,0) (t = 2), one does (t = 1), or both act
+    # on the decoration (t = 0); jz keeps only t = 0
+    u = sym_word(parse_word("[P1][P1]", 2))
+    y = parse_word("[z{k0:1}xD(2,0)]", 2)
+    assert print_sym_element(ext_action_word(struct, u, y, CFG), CFG) == expect
+
+
+def test_the_action_memo_holds_no_empty_word():
+    import postliemi.enveloping as env
+
+    u, v = w(P1, P1, Z0D0), w(Z0D10, ZN)
+    for struct in (STRUCT_JZ, STRUCT_BTR):
+        assert star_word(struct, u, v, CFG) == brute_star_word(struct, u, v, CFG)
+    assert env._ACTION_CACHE
+    assert all(key[1] and key[2] for key in env._ACTION_CACHE)
 
 
 @pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
@@ -433,6 +480,8 @@ def test_a_letter_of_the_wrong_dimension_is_refused_on_either_side(struct, bad):
             star_word(struct, (good,), (bad,), CFG)
         with pytest.raises(DimensionMismatch):
             star_word(struct, (bad,), (good,), CFG)
+        with pytest.raises(DimensionMismatch):
+            ext_action_word(struct, sym_word((good, bad)), (Z0D10,), CFG)
 
 
 # -- word splittings ---------------------------------------------------------
@@ -717,7 +766,9 @@ def test_each_dual_coproduct_term_is_its_defining_pairing(cfg, text, binomial):
     split = False
     for (u, y), c in got.terms:
         if y:
-            assert c == ext_action_word(STRUCT_BTR, u, y, cfg).coeff((x,)) / sigma(u)
+            # the oracle's closed form, not the library's: the action and the
+            # extra shifts of the dual coproduct share the lowering coefficient
+            assert c == brute_letter_action(STRUCT_BTR, u, y[0], cfg).coeff((x,)) / sigma(u)
             t = [a - b for a, b in zip(y[0].n, x.n)]
             split |= any(t_i and u.count(Shift(i + 1)) > t_i for i, t_i in enumerate(t))
     assert _extra_shift_terms(got, x)
