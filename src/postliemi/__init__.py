@@ -78,6 +78,7 @@ __version__ = "0.1.0"
 def clear_memos() -> None:
     """Empty the process-wide memo tables; later results are the same."""
     enveloping._ACTION_CACHE.clear()
+    enveloping._LETTER_TABLE.clear()
     enveloping._DUAL_LETTER_CACHE.clear()
     representation._PSI_CACHE.clear()
     representation._PSI_ADJOINT_CACHE.clear()

@@ -21,9 +21,10 @@ representation, so ``ext_action_word`` reads it in closed form instead of
 peeling u letter by letter: the decorations of u multiply out front, its
 derivations act on z^gamma through ``psi_word`` (composed in
 ``derivation_rank`` order at lambda = 0), and at lambda = 1 each shift that
-<> absorbs lowers D^(n) by P_i <> D^(m) = -m_i D^(m - e_i).  The
-coefficient of those lowerings, ``_lowering``, also gives the extra shifts
-of ``dual_coproduct_letter``.
+<> absorbs lowers D^(n) by P_i <> D^(m) = -m_i D^(m - e_i).  Only the
+decorations multiply out per word; the rest is read from a table keyed by
+the derivations of u.  The coefficient of those lowerings, ``_lowering``,
+also gives the extra shifts of ``dual_coproduct_letter``.
 
 ``coshuffle`` is the coproduct with primitive letters; on a word it sums
 multiset splittings with binomial multiplicities, which is simultaneously
@@ -35,9 +36,10 @@ scaled pieces below is merged once (``from_terms``, ``sum_of``), never
 folded with ``+``.  Word products merge once per public result:
 ``Structure.mul``, ``star_word``, ``star`` and the splitting branch of
 ``ext_action_word`` add every term into one plain dict and sort it at the
-end.  A concatenation whose inverted letters all commute is sorted, not
-rewritten; only a tilt z^gamma D^(n) standing before a shift P_i with
-n_i != 0 sends a jz product through ``pbw_normal_form``.
+end, multiplying by no factor equal to 1.  A concatenation whose inverted
+letters all commute is sorted, not rewritten; only a tilt z^gamma D^(n)
+standing before a shift P_i with n_i != 0 sends a jz product through
+``pbw_normal_form``.
 
 Duality: ``pairing`` satisfies <w, w> = prod m_i! on a word with letter
 multiplicities m_i, zero on distinct words; ``tmap`` multiplies each word by
@@ -119,7 +121,7 @@ def sigma(w: SymWord) -> int:
 
 
 def _word_rank(w: SymWord):
-    return (len(w), tuple(structural_rank(x) for x in w))
+    return (len(w), tuple(map(structural_rank, w)))
 
 
 class SymElement(Combination):
@@ -302,19 +304,23 @@ def _mul_into(acc: dict, struct: Structure, u_terms, v_terms, scale, cfg: Config
 
     The bracket (1 - lam)[.,.] vanishes at lam = 1, where a concatenation
     is only sorted.  At lam = 0 it is straightened with [.,.], unless
-    ``_sorts_freely`` shows that its inverted letters all commute.
+    ``_sorts_freely`` shows that its inverted letters all commute.  A
+    factor equal to 1 is not multiplied by.
     """
     straighten = struct.lam != 1
+    rescale = scale != 1
     for w1, c1 in u_terms:
-        c1 *= scale
+        if rescale:
+            c1 *= scale
+        one = c1 == 1
         for w2, c2 in v_terms:
+            c = c2 if one else c1 if c2 == 1 else c1 * c2
             seq = w1 + w2
             if straighten and not _sorts_freely(seq):
-                c = c1 * c2
                 for w, cw in pbw_normal_form(seq, bracket, cfg).terms:
-                    _add_into(acc, w, c * cw)
+                    _add_into(acc, w, c if cw == 1 else c * cw)
             else:
-                _add_into(acc, sym_word(seq), c1 * c2)
+                _add_into(acc, sym_word(seq), c)
 
 
 # -- Guin-Oudom extension ----------------------------------------------------
@@ -338,16 +344,14 @@ def _lowering(s: Sequence[int], n: Sequence[int], t: Sequence[int]) -> int:
 
 def _act_on_letter(struct: Structure, u: SymWord, y: LBasisKey, cfg: Config) -> SymElement:
     """u > y for a word u of two or more letters and one letter y, in closed
-    form; ``ext_action_word`` states it."""
+    form; ``ext_action_word`` states it.  Only the decorations of u are
+    read here: they multiply out front of the terms of ``_letter_terms``."""
     d = cfg.d
     for k in u:
         check_key_dim(k, d)
     check_key_dim(y, d)
     if isinstance(y, Shift):
         return SymElement.zero()  # every derivation kills the unit decoration
-    # deferred: representation imports this module
-    from .representation import psi_word
-
     s = [0] * d
     front, tilt_ds = MultiIndex.zero(), []
     for k in u:
@@ -357,26 +361,54 @@ def _act_on_letter(struct: Structure, u: SymWord, y: LBasisKey, cfg: Config) -> 
             front = front + k.gamma  # most words hold one tilt: no merge
             tilt_ds.append(key_derivation(k))
     tilt_ds = tuple(sorted(tilt_ds, key=derivation_rank))
+    table = _letter_terms(struct.lam, tuple(s), tilt_ds, y, cfg)
+    return SymElement.from_terms(((_trusted_tilt(front + h, nt),), c) for h, nt, c in table)
+
+
+_LETTER_TABLE: dict = {}
+
+
+def _letter_terms(lam: int, s: tuple, tilt_ds: tuple, y: Tilt, cfg: Config) -> tuple:
+    """The (h, n - t, c) triples of the derivation part of u > y,
+
+        sum_t L(s, n, t) psi[ds less t_i P_i](z^gamma) (x) D^(n - t),
+
+    for y = z^gamma D^(n), with ds the s_i copies of each shift P_i
+    followed by the sorted tilt derivations tilt_ds; at lam = 0 only t = 0,
+    composed with ``apply_word``.
+
+    The triples depend on the derivations of a word, not on its
+    decorations, so words that differ only in those share one entry.
+    """
+    key = (lam, s, tilt_ds, y.gamma, y.n, cfg)
+    hit = _LETTER_TABLE.get(key)
+    if hit is not None:
+        return hit
+    # deferred: representation imports this module
+    from .representation import psi_word
+
     n = y.n
     # L(s, n, t) is zero once t_i > n_i; at lam = 0 only t = 0 is summed
-    tops = [min(si, ni) for si, ni in zip(s, n)] if struct.lam else ()
+    tops = [min(si, ni) for si, ni in zip(s, n)] if lam else ()
     if any(tops):
         ts = product(*(range(top + 1) for top in tops))
     else:
-        ts = ((0,) * d,)
-    terms = []
+        ts = ((0,) * cfg.d,)
+    out = []
     for t in ts:
         c = _lowering(s, n, t)
         # derivation_rank order, as rho_bar_word sorts: shifts by direction, then tilts
         ds = tuple(Partial(i) for i, (si, ti) in enumerate(zip(s, t), 1) for _ in range(si - ti))
         ds += tilt_ds
-        if struct.lam:
+        if lam:
             acted = psi_word(ds, y.gamma, cfg)
         else:
             acted = apply_word(ds, Polynomial.monomial(y.gamma), cfg)
         nt = tuple(ni - ti for ni, ti in zip(n, t))
-        terms.extend(((_trusted_tilt(front + h, nt),), c * ch) for h, ch in acted.terms)
-    return SymElement.from_terms(terms)
+        out.extend((h, nt, c * ch) for h, ch in acted.terms)
+    out = tuple(out)
+    _LETTER_TABLE[key] = out
+    return out
 
 
 def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> SymElement:
@@ -398,7 +430,9 @@ def ext_action_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> S
     and each shift that <> absorbs lowers D^(n) instead.  At lam = 0 no
     shift lowers D^(n), only t = 0 remains, and the derivations compose
     with ``apply_word`` in ``derivation_rank`` order, as in ``rho_bar_word``.
-    A nonempty word kills a shift.
+    A nonempty word kills a shift.  Only z^front depends on the
+    decorations of u: the rest of each term is read from ``_letter_terms``,
+    one table entry per (lam, s, tilt derivations, gamma, n, cfg).
 
     The empty u and the empty v are answered before the memo is read, so
     the memo holds no entry for them.
@@ -444,9 +478,10 @@ def ext_action_elem(
 
 def _star_into(acc: dict, struct: Structure, u: SymWord, v: SymWord, scale, cfg: Config) -> None:
     """acc += scale * (u * v): the sum of u^(1) (u^(2) > v) over the splits of u."""
+    one = scale == 1
     for u1, u2, mult in splits(word_mults(u)):
         acted = ext_action_word(struct, u2, v, cfg)
-        _mul_into(acc, struct, ((u1, 1),), acted.terms, scale * mult, cfg)
+        _mul_into(acc, struct, ((u1, 1),), acted.terms, mult if one else scale * mult, cfg)
 
 
 def star_word(struct: Structure, u: SymWord, v: SymWord, cfg: Config) -> SymElement:

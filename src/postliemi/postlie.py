@@ -386,7 +386,8 @@ def _bracket_pairs(x: LElement, sx: _Shape, y: LElement, sy: _Shape) -> list:
 
 def _bilinear(kernel, pairs) -> "BilinearOp":
     """The bilinear extension of a product of basis keys, run on the pairs
-    of terms that ``pairs`` yields; every other pair gives zero."""
+    of terms that ``pairs`` yields; every other pair gives zero.  A factor
+    equal to 1 is not multiplied by."""
 
     def op(x: LElement, y: LElement, cfg: Config) -> LElement:
         if not x.terms:
@@ -403,8 +404,11 @@ def _bilinear(kernel, pairs) -> "BilinearOp":
         for (kx, cx), (ky, cy) in pairs(x, sx, y, sy):
             out = kernel(kx, ky, cfg)
             if out:
-                cxy = cx * cy
-                terms.extend((kz, cxy * cz) for kz, cz in out)
+                cxy = cy if cx == 1 else cx if cy == 1 else cx * cy
+                if cxy == 1:
+                    terms.extend(out)
+                else:
+                    terms.extend((kz, cxy if cz == 1 else cxy * cz) for kz, cz in out)
         return LElement.from_terms(terms) if terms else LElement.zero()
 
     return op

@@ -11,7 +11,7 @@ nothing of the keys they are handed.
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -61,16 +61,16 @@ def splits(mults: Sequence[tuple]) -> Iterator[tuple]:
     mults lists the distinct items with their multiplicities, (item, m)
     pairs; left and right are tuples that keep that order, and count is the
     number of ways to pick the left positions, the product of C(m, l).
+    The left multiplicities l run over ``product`` of the ranges 0..m, so
+    the first item's varies slowest.
     """
-
-    def rec(i: int, left: list, right: list, coeff: int):
-        if i == len(mults):
-            yield tuple(left), tuple(right), coeff
-            return
-        x, m = mults[i]
-        for l in range(m + 1):
-            yield from rec(
-                i + 1, left + [x] * l, right + [x] * (m - l), coeff * math.comb(m, l)
-            )
-
-    yield from rec(0, [], [], 1)
+    options = [
+        [((x,) * l, (x,) * (m - l), math.comb(m, l)) for l in range(m + 1)] for x, m in mults
+    ]
+    for picks in product(*options):
+        left, right, count = (), (), 1
+        for a, b, c in picks:
+            left += a
+            right += b
+            count *= c
+        yield left, right, count

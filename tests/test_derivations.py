@@ -220,7 +220,7 @@ def grouped_words(draw):
     return Config(d, Fraction(1, 2)), shifts, tilts, Polynomial.monomial(g)
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(grouped_words())
 def test_word_action_ignores_the_order_within_shifts_and_within_tilts(case):
     cfg, shifts, tilts, p = case

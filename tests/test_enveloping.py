@@ -440,6 +440,38 @@ def test_action_on_one_letter_matches_the_peel_recursion(struct, cfg, data):
     assert ext_action_word(struct, u, (y,), cfg) == brute_ext_action_word(struct, u, (y,), cfg)
 
 
+def _same_derivation(pool: list, key, data):
+    """Another tilt of the pool with the derivation of key, or key itself
+    when the pool holds none."""
+    others = [k for k in pool if isinstance(k, Tilt) and k.n == key.n and k != key]
+    return data.draw(st.sampled_from(others)) if others else key
+
+
+@pytest.mark.parametrize("struct", [STRUCT_JZ, STRUCT_BTR], ids=["jz", "btr"])
+@pytest.mark.parametrize("cfg", [LETTER_CFGS[0], LETTER_CFGS[2]], ids=["d2", "d3"])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_words_that_share_their_derivations_act_by_their_own_decorations(struct, cfg, data):
+    # u and u2 have the same shifts and tilt derivations but other tilt
+    # decorations, y and y2 the same D^(n) but other decorations: the four
+    # actions share their derivation terms, and each must still read its
+    # own z^front and z^gamma; u draws tilts with |n| <= 1, since a
+    # D^(n) with |n| > 1 kills every decoration of the acted pool
+    tilts = [k for k in LETTER_POOLS[cfg] if isinstance(k, Tilt) and sum(k.n) <= 1]
+    y = data.draw(st.sampled_from(ACTED_POOLS[cfg][cfg.d :]), label="y")
+    y2 = _same_derivation(ACTED_POOLS[cfg], y, data)
+    # few letters, so that the actions are seldom zero; two at least, so
+    # that they take the closed form
+    u = list(_draw_lowering_word(data, cfg, y, 2, 2))
+    u += data.draw(st.lists(st.sampled_from(tilts), min_size=max(1, 2 - len(u)), max_size=2))
+    u2 = [_same_derivation(tilts, k, data) if isinstance(k, Tilt) else k for k in u]
+    u, u2 = sym_word(u), sym_word(u2)
+    for word in (u, u2):
+        for letter in (y, y2):
+            got = ext_action_word(struct, word, (letter,), cfg)
+            assert got == brute_ext_action_word(struct, word, (letter,), cfg)
+
+
 @pytest.mark.parametrize(
     "struct,expect",
     [
@@ -496,6 +528,21 @@ def test_word_splits_match_the_position_subsets(word):
     for left, right, _ in triples:
         assert type(left) is tuple and left == sym_word(left)
         assert type(right) is tuple and right == sym_word(right)
+
+
+@given(
+    st.sampled_from(LETTERS),
+    st.integers(3, 5),
+    st.lists(st.sampled_from(LETTERS), max_size=3),
+)
+def test_word_splits_of_a_letter_repeated_three_times_or_more(x, m, rest):
+    word = sym_word([x] * m + rest)
+    mults = word_mults(word)
+    triples = list(splits(mults))
+    assert {(left, right): mult for left, right, mult in triples} == brute_word_splits(word)
+    # the left multiplicities run in lex order, the first letter's slowest
+    lefts = [tuple(left.count(y) for y, _ in mults) for left, _, _ in triples]
+    assert lefts == sorted(lefts) and len(set(lefts)) == len(lefts)
 
 
 # -- phi ---------------------------------------------------------------------
@@ -791,9 +838,17 @@ def test_clear_memos_empties_every_table_and_keeps_results():
             # the coaction reads the transpose only; the forward psi table
             # is filled by the action of a word
             rho_bar_word(STRUCT_BTR, (P1, x), Polynomial.monomial(g), CFG34),
+            # a word of two letters on one letter reads the derivation table
+            ext_action_word(STRUCT_JZ, w(P1, x), (x,), CFG34),
         )
 
-    tables = [env._ACTION_CACHE, env._DUAL_LETTER_CACHE, rep._PSI_CACHE, rep._PSI_ADJOINT_CACHE]
+    tables = [
+        env._ACTION_CACHE,
+        env._LETTER_TABLE,
+        env._DUAL_LETTER_CACHE,
+        rep._PSI_CACHE,
+        rep._PSI_ADJOINT_CACHE,
+    ]
     before = compute()
     assert all(tables)
     postliemi.clear_memos()
